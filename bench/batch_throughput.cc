@@ -1,15 +1,17 @@
 // Batched vs. sequential query execution (see docs/ARCHITECTURE.md, batch
 // layer): the same workload is answered once as a sequential
-// DsaDatabase::ShortestPath loop and once as a single
-// BatchExecutor::Execute call, for each WorkloadSpec mix. Reports
-// queries/sec for both paths, the batch speed-up, the planning-phase time,
-// the cross-query subquery deduplication savings, the chain-plan
-// (skeleton) cache hit rate, and the interned-plan skip rate — the sharing
-// effects that make batching pay, especially on the hot-pair mix.
+// DsaDatabase::ShortestPath loop (each call a batch of one through the
+// same planner) and once as a single BatchExecutor::Execute call, for
+// each WorkloadSpec mix; the sequential rate (seq_qps) is the gated
+// single-query series. Reports queries/sec for both paths, the batch
+// speed-up, the planning-phase time, the cross-query subquery
+// deduplication savings, the chain-plan (skeleton) cache hit rate, and the
+// interned-plan skip rate — the sharing effects that make batching pay,
+// especially on the hot-pair mix.
 //
 // A second section sweeps the coordinator thread count on a large uniform
 // batch: planning runs in parallel on the database pool over the sharded
-// SpecTable, so the planning phase should scale with threads (and
+// subquery table, so the planning phase should scale with threads (and
 // end-to-end throughput must not regress). `batch_throughput [N]` sets the
 // sweep's batch size (default 10000).
 #include <cstdio>

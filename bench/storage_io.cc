@@ -6,10 +6,10 @@
 //                 (the full complementary precompute every restart pays
 //                 without storage);
 //   2. save     — serialize it to a paged, checksummed file;
-//   3. open     — reopen through the buffer-pool path and through the mmap
-//                 fast path, full checksum verification on;
+//   3. open     — reopen resident, through the mmap fast path, with the
+//                 whole-file checksum sweep;
 //   4. equality — a randomized query sweep must answer identically on the
-//                 fresh and both reopened databases (exit 1 on mismatch);
+//                 fresh and the reopened database (exit 1 on mismatch);
 //   5. serve    — query throughput on the mmap-reopened database, the
 //                 gated "did reopening cost us anything at serve time"
 //                 series;
@@ -51,14 +51,11 @@ struct OpenTiming {
   StoredDatabase stored;
 };
 
-OpenTiming TimedOpen(const std::string& path, bool use_mmap) {
-  OpenOptions options;
-  options.use_mmap = use_mmap;
+OpenTiming TimedOpen(const std::string& path) {
   WallTimer timer;
-  Result<StoredDatabase> opened = OpenDatabase(path, options);
+  Result<StoredDatabase> opened = OpenDatabase(path);
   if (!opened.ok()) {
-    std::fprintf(stderr, "storage_io: open %s (%s): %s\n", path.c_str(),
-                 use_mmap ? "mmap" : "pool",
+    std::fprintf(stderr, "storage_io: open %s: %s\n", path.c_str(),
                  opened.status().ToString().c_str());
     std::exit(1);
   }
@@ -168,30 +165,27 @@ int main(int argc, char** argv) {
   }
   std::printf("save:    %.1f ms (%.2f MiB)\n", save_s * 1e3, file_mb);
 
-  // 3. open, both paths (checksum verification on — the default contract).
-  OpenTiming pool_open = TimedOpen(db_path, /*use_mmap=*/false);
-  std::printf("open:    %.1f ms (buffer pool)\n", pool_open.seconds * 1e3);
-  OpenTiming mmap_open = TimedOpen(db_path, /*use_mmap=*/true);
+  // 3. open resident (the checksum sweep always runs).
+  OpenTiming mmap_open = TimedOpen(db_path);
   const double speedup =
       mmap_open.seconds > 0.0 ? rebuild_s / mmap_open.seconds : 0.0;
   std::printf("open:    %.1f ms (mmap) — %.1fx faster than rebuild\n",
               mmap_open.seconds * 1e3, speedup);
 
-  // 4. answer equality: fresh == pool-opened == mmap-opened on a random
-  // sweep. Identical inputs (same graph, same complementary tuples) must
-  // give identical costs.
+  // 4. answer equality: fresh == mmap-opened on a random sweep. Identical
+  // inputs (same graph, same complementary tuples) must give identical
+  // costs.
   const auto pairs = SweepPairs(t.graph.NumNodes(), 150);
   size_t mismatches = 0;
   for (const auto& [from, to] : pairs) {
     const double want = fresh.ShortestPath(from, to).cost;
-    const double got_pool = pool_open.stored.db->ShortestPath(from, to).cost;
-    const double got_mmap = mmap_open.stored.db->ShortestPath(from, to).cost;
-    if (want != got_pool || want != got_mmap) {
+    const double got = mmap_open.stored.db->ShortestPath(from, to).cost;
+    if (want != got) {
       if (++mismatches <= 5) {
         std::fprintf(stderr,
-                     "storage_io: MISMATCH %u -> %u: fresh %.17g, pool "
-                     "%.17g, mmap %.17g\n",
-                     from, to, want, got_pool, got_mmap);
+                     "storage_io: MISMATCH %u -> %u: fresh %.17g, mmap "
+                     "%.17g\n",
+                     from, to, want, got);
       }
     }
   }
@@ -274,7 +268,6 @@ int main(int argc, char** argv) {
 
   metrics.Set("rebuild_ms", rebuild_s * 1e3);
   metrics.Set("save_ms", save_s * 1e3);
-  metrics.Set("open_ms", pool_open.seconds * 1e3);
   metrics.Set("mmap_open_ms", mmap_open.seconds * 1e3);
   metrics.Set("paged_open_ms", paged_open_s * 1e3);
   metrics.Set("file_mb", file_mb);

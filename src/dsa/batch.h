@@ -12,7 +12,7 @@
 //      an EARLIER batch skips chain lookup and dedup too and only
 //      re-stamps its hops into this batch's spec table,
 //   2. intern all keyhole subqueries into one mutex-striped
-//      ShardedSpecTable, so queries that hit the same (fragment,
+//      SubqueryTable, so queries that hit the same (fragment,
 //      source-DS, target-DS) triple share a single site computation — and
 //      interning itself no longer serializes the coordinator,
 //   3. seal the sharded table into one flat spec vector and run the
@@ -28,8 +28,9 @@
 // that is itself scheduling-stable).
 //
 // BatchExecutor is stateless apart from the database reference: Execute()
-// is const, re-entrant, and may run concurrently with other batches and
-// with single DsaDatabase queries.
+// is const, re-entrant, and may run concurrently with other batches. It is
+// also the single-query path: DsaDatabase::ShortestPath and ShortestRoute
+// execute a batch of one.
 #pragma once
 
 #include <vector>
@@ -57,7 +58,7 @@ struct BatchStats {
   /// Chain-hop subquery requests before cross-query deduplication (every
   /// hop of every chain of every query).
   size_t subqueries_requested = 0;
-  /// Distinct subqueries actually executed (the SpecTable size).
+  /// Distinct subqueries actually executed (the sealed spec table's size).
   size_t subqueries_executed = 0;
   /// Skeleton-cache (ChainPlanCache) hits/misses for this batch's
   /// fragment-pair lookups. Each distinct (from, to) pair is planned once,
@@ -71,12 +72,11 @@ struct BatchStats {
   size_t plan_memo_misses = 0;
   /// Cross-batch interned-plan cache reuse, per distinct pair planned this
   /// batch: a hit instantiated a skeleton-relative plan interned by an
-  /// *earlier* batch (or single query) against this database — no chain
-  /// lookup, no skeleton fetch, no chain dedup; a miss built and published
-  /// the plan for later batches. Both zero only when the whole chain-plan
-  /// cache is off (plan_cache_capacity == 0); with just cross-batch
+  /// *earlier* batch (a single query is a batch of one) against this
+  /// database — no chain lookup, no skeleton fetch, no chain dedup; a miss
+  /// built and published the plan for later batches. With cross-batch
   /// interning disabled (interned_plan_cache_capacity == 0), every
-  /// distinct pair still counts as a miss (built, not published).
+  /// distinct pair counts as a miss (built, not published).
   size_t interned_plan_hits = 0;
   size_t interned_plan_misses = 0;
 

@@ -40,24 +40,24 @@ ComplementaryInfo PrecomputeCapacityComplementary(const Fragmentation& frag) {
 }
 
 BottleneckDsa::BottleneckDsa(const Fragmentation* frag, size_t max_chains)
-    : frag_(frag), max_chains_(max_chains) {
+    : frag_(frag),
+      max_chains_(max_chains),
+      plan_cache_(std::make_unique<ChainPlanCache>()) {
   TCF_CHECK(frag != nullptr);
   complementary_ = PrecomputeCapacityComplementary(*frag_);
 }
 
-Relation BottleneckDsa::LocalWidest(FragmentId fragment,
-                                    const NodeSet& sources,
-                                    const NodeSet& targets) const {
+Relation BottleneckDsa::LocalWidest(const LocalQuerySpec& spec) const {
   // The capacity complementary is always freshly precomputed (resident),
   // so augmentation cannot hit a storage error.
   Result<Graph> built =
-      BuildAugmentedFragment(*frag_, &complementary_, fragment);
+      BuildAugmentedFragment(*frag_, &complementary_, spec.fragment);
   TCF_CHECK_MSG(built.ok(), built.status().ToString());
   const Graph augmented = std::move(built).value();
   Relation out;
-  for (NodeId s : sources) {
+  for (NodeId s : spec.sources) {
     WidestPaths wp = WidestPathsFrom(augmented, s);
-    for (NodeId t : targets) {
+    for (NodeId t : spec.targets) {
       if (t == s) {
         out.Add(s, t, kInfinity);  // passing through costs no capacity
       } else if (wp.capacity[t] > 0.0) {
@@ -79,43 +79,34 @@ BottleneckAnswer BottleneckDsa::WidestPath(NodeId from, NodeId to,
     answer.capacity = kInfinity;
     return answer;
   }
-  const auto& from_frags = frag_->FragmentsOfNode(from);
-  const auto& to_frags = frag_->FragmentsOfNode(to);
-  std::vector<FragmentChain> chains;
-  for (FragmentId fa : from_frags) {
-    for (FragmentId fb : to_frags) {
-      for (FragmentChain& c : FindChains(*frag_, fa, fb, max_chains_)) {
-        if (std::find(chains.begin(), chains.end(), c) == chains.end()) {
-          chains.push_back(std::move(c));
-        }
-      }
+  // The shortest-path planner, as a batch of one: its chains and keyhole
+  // selections depend only on the fragmentation, so they serve any path
+  // problem — and a hop shared by several chains runs once.
+  const ParallelPlanResult planned = PlanBatchInParallel(
+      *frag_, {{from, to}}, max_chains_, plan_cache_.get(), nullptr);
+  const QueryPlan& plan = *planned.plans.front();
+  const std::vector<LocalQuerySpec>& specs = planned.flat.specs;
+  answer.chains_considered = plan.chains.size();
+
+  std::vector<Relation> local;
+  local.reserve(specs.size());
+  for (const LocalQuerySpec& spec : specs) {
+    local.push_back(LocalWidest(spec));
+    if (report != nullptr) {
+      SiteReport site;
+      site.fragment = spec.fragment;
+      site.result_tuples = local.back().size();
+      report->sites.push_back(site);
+      report->communication_tuples += local.back().size();
     }
   }
-  answer.chains_considered = chains.size();
 
-  auto ds_nodes = [&](FragmentId a, FragmentId b) {
-    const DisconnectionSet* ds = frag_->FindDisconnectionSet(a, b);
-    TCF_CHECK(ds != nullptr);
-    return NodeSet(ds->nodes.begin(), ds->nodes.end());
-  };
-
-  for (const FragmentChain& chain : chains) {
-    Relation acc;
-    for (size_t i = 0; i < chain.size(); ++i) {
-      const NodeSet sources =
-          (i == 0) ? NodeSet{from} : ds_nodes(chain[i - 1], chain[i]);
-      const NodeSet targets = (i + 1 == chain.size())
-                                  ? NodeSet{to}
-                                  : ds_nodes(chain[i], chain[i + 1]);
-      Relation local = LocalWidest(chain[i], sources, targets);
-      if (report != nullptr) {
-        SiteReport site;
-        site.fragment = chain[i];
-        site.result_tuples = local.size();
-        report->sites.push_back(site);
-        report->communication_tuples += local.size();
-      }
-      acc = (i == 0) ? std::move(local) : JoinMaxMin(acc, local);
+  // Max-min fold: a chain carries its narrowest hop's capacity, and the
+  // answer is the widest chain.
+  for (const std::vector<size_t>& hops : plan.chain_specs) {
+    Relation acc = local[hops.front()];
+    for (size_t i = 1; i < hops.size(); ++i) {
+      acc = JoinMaxMin(acc, local[hops[i]]);
     }
     answer.capacity = std::max(answer.capacity, acc.MaxCost(from, to));
   }

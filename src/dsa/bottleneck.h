@@ -37,14 +37,17 @@ class BottleneckDsa {
                               ExecutionReport* report = nullptr) const;
 
  private:
-  /// Widest capacities from every node of `sources` to every node of
-  /// `targets` inside the capacity-augmented fragment.
-  Relation LocalWidest(FragmentId fragment, const NodeSet& sources,
-                       const NodeSet& targets) const;
+  /// Widest capacities from every source to every target of `spec`
+  /// inside the capacity-augmented fragment.
+  Relation LocalWidest(const LocalQuerySpec& spec) const;
 
   const Fragmentation* frag_;
   size_t max_chains_;
   ComplementaryInfo complementary_;  // shortcut costs = capacities
+  /// Chain plans are fragmentation metadata, not capacities, so widest
+  /// paths plan through the same cache type as shortest paths (its own
+  /// instance; internally synchronized, so WidestPath stays const).
+  std::unique_ptr<ChainPlanCache> plan_cache_;
 };
 
 /// Builds the capacity complementary information: for every fragment, the

@@ -118,9 +118,7 @@ InternedPlan BuildInternedPlan(const Fragmentation& frag, NodeId from,
 
   // A border node lives in several fragments and every one of them is a
   // valid chain endpoint; chains shared between the endpoint-pair
-  // skeletons are deduplicated here, once, in first-seen order — the same
-  // order the per-batch planner used to produce, so instantiated plans
-  // are bit-identical to directly built ones.
+  // skeletons are deduplicated here, once, in first-seen order.
   for (FragmentId fa : frag.FragmentsOfNode(from)) {
     for (FragmentId fb : frag.FragmentsOfNode(to)) {
       bool was_hit = false;
@@ -210,8 +208,8 @@ std::shared_ptr<const InternedPlan> ChainPlanCache::PlanFor(
   // the unordered pair. Disconnection sets are direction-free
   // (FindDisconnectionSet normalizes its arguments) and the fragmentation
   // graph is undirected, so the reverse pair's chains are exactly the
-  // element-wise reversals of the stored plan's chains — the instantiator
-  // reverses them on the fly (see InstantiateInternedPlan). The stored
+  // element-wise reversals of the stored plan's chains — the planner
+  // reverses them on the fly (see PlanBatchInParallel). The stored
   // plan's own from/to record which direction built it. This doubles the
   // cache's effective node-pair capacity, which matters once concurrent
   // flush workers hammer it from both directions of hot pairs.

@@ -16,12 +16,13 @@
 // pair's whole plan — its deduplicated chains, each referring back into
 // the skeletons it came from by skeleton-relative (skeleton, chain) refs.
 // Those refs are pure fragmentation metadata plus the two query constants;
-// they name no SpecTable slots, so they outlive any batch's spec-table
+// they name no spec-table slots, so they outlive any batch's spec-table
 // sealing. The ChainPlanCache keeps interned plans resident across batch
-// boundaries: a later batch (or single query) that repeats a hot (from,
-// to) pair skips endpoint-fragment location, skeleton lookups, and chain
-// deduplication outright, and only re-stamps the hop templates into its
-// own spec sink (see InstantiateInternedPlan in dsa/executor.h).
+// boundaries: a later batch (a single query is a batch of one) that
+// repeats a hot (from, to) pair skips endpoint-fragment location, skeleton
+// lookups, and chain deduplication outright, and only re-stamps the hop
+// templates into its own spec table (PlanBatchInParallel in
+// dsa/executor.h).
 #pragma once
 
 #include <cstdint>
@@ -91,10 +92,10 @@ PlanSkeleton BuildPlanSkeleton(const Fragmentation& frag, FragmentId from,
 /// A (from, to) NODE pair's plan in skeleton-relative form: the
 /// deduplicated chains of every endpoint-fragment pair, each chain a
 /// (skeleton, chain) ref into one of the cached skeletons the plan holds
-/// alive. Nothing here names a SpecTable slot, so an interned plan
+/// alive. Nothing here names a spec-table slot, so an interned plan
 /// survives batch boundaries — instantiation stamps `from`/`to` into the
 /// referenced hop templates and interns the hops into the *current*
-/// batch's spec sink (InstantiateInternedPlan in dsa/executor.h).
+/// batch's spec table (PlanBatchInParallel in dsa/executor.h).
 struct InternedPlan {
   NodeId from = 0;
   NodeId to = 0;
@@ -105,8 +106,8 @@ struct InternedPlan {
     uint32_t chain = 0;     // chain index within that skeleton
   };
 
-  /// The distinct chains in BuildQueryPlan's first-seen order (border
-  /// nodes make several endpoint-fragment pairs contribute; duplicates
+  /// The distinct chains in first-seen order over the endpoint-fragment
+  /// pairs (border nodes make several pairs contribute; duplicates
   /// between their skeletons are dropped here, once, instead of per
   /// batch) — stored as refs only, so a resident plan adds no chain
   /// copies on top of the skeletons it pins.
@@ -189,7 +190,7 @@ class ChainPlanCache {
   /// pair: (a, b) and (b, a) alias one entry (2× effective capacity), and
   /// the returned plan's own from/to say which direction built it — a
   /// caller querying the reverse direction must instantiate it reversed
-  /// (InstantiateInternedPlan in dsa/executor.h does this transparently;
+  /// (PlanBatchInParallel in dsa/executor.h does this transparently;
   /// valid because disconnection sets and fragment adjacency are
   /// symmetric, so the reverse pair's chains are the element-wise
   /// reversals of the stored ones). A racing build of the same cold

@@ -30,16 +30,9 @@ void ExecutionReport::Merge(const ExecutionReport& other) {
   communication_tuples += other.communication_tuples;
 }
 
-SpecKey MakeSpecKey(const LocalQuerySpec& spec) {
-  auto sorted = [](const NodeSet& s) {
-    std::vector<NodeId> v(s.begin(), s.end());
-    std::sort(v.begin(), v.end());
-    return v;
-  };
-  return std::make_tuple(spec.fragment, sorted(spec.sources),
-                         sorted(spec.targets));
-}
+namespace {
 
+// Materializes the spec a key denotes.
 LocalQuerySpec SpecFromKey(const SpecKey& key) {
   LocalQuerySpec spec;
   spec.fragment = std::get<0>(key);
@@ -47,6 +40,8 @@ LocalQuerySpec SpecFromKey(const SpecKey& key) {
   spec.targets = NodeSet(std::get<2>(key).begin(), std::get<2>(key).end());
   return spec;
 }
+
+}  // namespace
 
 size_t SpecKeyHash::operator()(const SpecKey& key) const {
   // FNV-ish combine; the node lists are sorted, so equal specs always
@@ -63,29 +58,20 @@ size_t SpecKeyHash::operator()(const SpecKey& key) const {
   return static_cast<size_t>(h);
 }
 
-size_t SpecTable::Intern(SpecKey key) {
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    specs_.push_back(SpecFromKey(key));
-    it = index_.emplace(std::move(key), specs_.size() - 1).first;
-  }
-  return it->second;
-}
+SubqueryTable::SubqueryTable(size_t num_shards) : table_(num_shards) {}
 
-ShardedSpecTable::ShardedSpecTable(size_t num_shards) : table_(num_shards) {}
-
-size_t ShardedSpecTable::Intern(SpecKey key) {
+size_t SubqueryTable::Intern(SpecKey key) {
   auto result = table_.Intern(
       std::move(key), [](const SpecKey& k) { return SpecFromKey(k); });
   return static_cast<size_t>(result.handle);
 }
 
-size_t ShardedSpecTable::Flat::IndexOf(size_t ref) const {
+size_t SubqueryTable::Flat::IndexOf(size_t ref) const {
   using Table = ShardedTable<SpecKey, LocalQuerySpec, SpecKeyHash>;
   return offsets[Table::ShardOf(ref)] + Table::SlotOf(ref);
 }
 
-ShardedSpecTable::Flat ShardedSpecTable::Flatten() {
+SubqueryTable::Flat SubqueryTable::Flatten() {
   auto flattened = table_.Flatten();
   Flat flat;
   flat.specs = std::move(flattened.values);
@@ -96,12 +82,12 @@ ShardedSpecTable::Flat ShardedSpecTable::Flatten() {
 namespace {
 
 // Appends one chain to `plan`: stamp the query constants into the hop
-// templates and intern one subquery per hop — shared between chains
-// (and, via a shared sink, between batched queries) when identical, so a
-// fragment computes each selection once.
+// templates and intern one subquery per hop — shared between chains and
+// between a batch's queries when identical, so a fragment computes each
+// selection once.
 void StampChain(const FragmentChain& chain,
                 const std::vector<HopTemplate>& hops, NodeId from, NodeId to,
-                SpecSink* specs, QueryPlan* plan) {
+                SubqueryTable* specs, QueryPlan* plan) {
   plan->chains.push_back(chain);
   std::vector<size_t>& refs = plan->chain_specs.emplace_back();
   refs.reserve(hops.size());
@@ -126,7 +112,7 @@ void StampChain(const FragmentChain& chain,
 // sides.
 void StampChainReversed(const FragmentChain& chain,
                         const std::vector<HopTemplate>& hops, NodeId from,
-                        NodeId to, SpecSink* specs, QueryPlan* plan) {
+                        NodeId to, SubqueryTable* specs, QueryPlan* plan) {
   plan->chains.emplace_back(chain.rbegin(), chain.rend());
   std::vector<size_t>& refs = plan->chain_specs.emplace_back();
   refs.reserve(hops.size());
@@ -141,11 +127,17 @@ void StampChainReversed(const FragmentChain& chain,
   }
 }
 
-}  // namespace
-
+// Stamps an interned plan's endpoints into its skeleton-relative hop
+// templates and interns one subquery per hop into `specs`. `(from, to)` is
+// the pair the caller is planning: it must equal the plan's own endpoints
+// in either orientation (ChainPlanCache::PlanFor aliases the unordered
+// pair onto one entry). In the reverse orientation every chain and its
+// hops are emitted element-wise reversed with the source/target
+// selections swapped — valid because disconnection sets and fragment
+// adjacency are symmetric, and answer assembly minimizes over chains, so
+// chain direction is immaterial to cost and route correctness.
 QueryPlan InstantiateInternedPlan(const InternedPlan& plan, NodeId from,
-                                  NodeId to, SpecSink* specs) {
-  TCF_CHECK(specs != nullptr);
+                                  NodeId to, SubqueryTable* specs) {
   const bool forward = from == plan.from && to == plan.to;
   TCF_CHECK_MSG(forward || (from == plan.to && to == plan.from),
                 "interned plan endpoints do not match the query");
@@ -162,54 +154,21 @@ QueryPlan InstantiateInternedPlan(const InternedPlan& plan, NodeId from,
   return out;
 }
 
-QueryPlan BuildQueryPlan(const Fragmentation& frag, NodeId from, NodeId to,
-                         size_t max_chains, ChainPlanCache* chain_cache,
-                         SpecSink* specs) {
-  TCF_CHECK(specs != nullptr);
-  TCF_CHECK(from != to);
-
-  if (chain_cache != nullptr) {
-    bool was_hit = false;
-    std::shared_ptr<const InternedPlan> interned =
-        chain_cache->PlanFor(frag, from, to, max_chains, &was_hit);
-    QueryPlan plan = InstantiateInternedPlan(*interned, from, to, specs);
-    if (!was_hit) {
-      // The skeleton lookups happened inside BuildInternedPlan on behalf
-      // of this call; a cache hit performed none.
-      plan.cache_hits = interned->cache_hits;
-      plan.cache_misses = interned->cache_misses;
-    }
-    return plan;
-  }
-
-  QueryPlan plan;
-  // Locate the query constants; a border node lives in several fragments
-  // and every one of them is a valid chain endpoint.
-  for (FragmentId fa : frag.FragmentsOfNode(from)) {
-    for (FragmentId fb : frag.FragmentsOfNode(to)) {
-      const PlanSkeleton skeleton = BuildPlanSkeleton(frag, fa, fb, max_chains);
-      for (size_t c = 0; c < skeleton.chains.size(); ++c) {
-        if (std::find(plan.chains.begin(), plan.chains.end(),
-                      skeleton.chains[c]) != plan.chains.end()) {
-          continue;
-        }
-        StampChain(skeleton.chains[c], skeleton.hops[c], from, to, specs,
-                   &plan);
-      }
-    }
-  }
-  return plan;
-}
+}  // namespace
 
 ParallelPlanResult PlanBatchInParallel(
     const Fragmentation& frag,
     const std::vector<std::pair<NodeId, NodeId>>& endpoints,
     size_t max_chains, ChainPlanCache* chain_cache, ThreadPool* pool) {
+  TCF_CHECK(chain_cache != nullptr);
+  // Shards buy concurrency, which a small batch cannot use; each costs a
+  // mutex and a deque, and a batch of one would pay for 64 of them.
+  const size_t num_shards = std::clamp<size_t>(endpoints.size(), 1, 64);
   ParallelPlanResult out;
   out.plans.assign(endpoints.size(), nullptr);
   out.memo = std::make_unique<
-      ShardedTable<uint64_t, QueryPlan, PairKeyHash>>();
-  ShardedSpecTable specs;
+      ShardedTable<uint64_t, QueryPlan, PairKeyHash>>(num_shards);
+  SubqueryTable specs(num_shards);
   std::atomic<size_t> memo_hits{0};
   std::atomic<size_t> interned_hits{0};
   std::atomic<size_t> interned_misses{0};
@@ -224,9 +183,6 @@ ParallelPlanResult PlanBatchInParallel(
   // chains or across queries are computed once. Plan refs stay
   // shard-encoded until the table is sealed below.
   auto build_plan = [&](NodeId from, NodeId to) {
-    if (chain_cache == nullptr) {
-      return BuildQueryPlan(frag, from, to, max_chains, nullptr, &specs);
-    }
     bool plan_hit = false;
     std::shared_ptr<const InternedPlan> interned =
         chain_cache->PlanFor(frag, from, to, max_chains, &plan_hit);
@@ -276,20 +232,6 @@ ParallelPlanResult PlanBatchInParallel(
   return out;
 }
 
-std::vector<FragmentId> InvolvedFragments(
-    const Fragmentation& frag, const QueryPlan& plan,
-    const std::vector<LocalQuerySpec>& specs) {
-  std::vector<char> involved(frag.NumFragments(), 0);
-  for (const std::vector<size_t>& hops : plan.chain_specs) {
-    for (size_t idx : hops) involved[specs[idx].fragment] = 1;
-  }
-  std::vector<FragmentId> out;
-  for (FragmentId f = 0; f < frag.NumFragments(); ++f) {
-    if (involved[f]) out.push_back(f);
-  }
-  return out;
-}
-
 std::vector<LocalQueryResult> RunSites(
     const Fragmentation& frag, const ComplementaryInfo* complementary,
     const std::vector<LocalQuerySpec>& specs, LocalEngine engine,
@@ -327,6 +269,21 @@ std::vector<LocalQueryResult> RunSites(
 }
 
 namespace {
+
+// The distinct fragments the plan's subqueries touch, ascending.
+std::vector<FragmentId> InvolvedFragments(
+    const Fragmentation& frag, const QueryPlan& plan,
+    const std::vector<LocalQuerySpec>& specs) {
+  std::vector<char> involved(frag.NumFragments(), 0);
+  for (const std::vector<size_t>& hops : plan.chain_specs) {
+    for (size_t idx : hops) involved[specs[idx].fragment] = 1;
+  }
+  std::vector<FragmentId> out;
+  for (FragmentId f = 0; f < frag.NumFragments(); ++f) {
+    if (involved[f]) out.push_back(f);
+  }
+  return out;
+}
 
 // First failure among the phase-1 results a plan consumes (OK when all
 // its subqueries read their storage cleanly). Assembly over a failed

@@ -6,13 +6,13 @@
 //
 // This header is the *re-entrant execution core* shared by the single-query
 // API (dsa/query_api.h) and the batch executor (dsa/batch.h): planning
-// (chain lookup + subquery interning), phase-1 fan-out, and per-chain
-// assembly are all free functions over immutable inputs, so any number of
-// coordinator threads may run queries against the same fragmentation and
-// complementary information concurrently.
+// (one planner, PlanBatchInParallel — a single query is a batch of one),
+// phase-1 fan-out, and per-chain assembly are all free functions over
+// immutable inputs, so any number of coordinator threads may run queries
+// against the same fragmentation and complementary information
+// concurrently.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <tuple>
 #include <utility>
@@ -76,61 +76,28 @@ struct RouteAnswer {
 
 /// Canonical identity of a keyhole subquery: (fragment, sorted sources,
 /// sorted targets). The key carries everything a LocalQuerySpec holds, so
-/// interning tables materialize the spec from the key on first sight.
+/// the spec table materializes the spec from the key on first sight.
 using SpecKey =
     std::tuple<FragmentId, std::vector<NodeId>, std::vector<NodeId>>;
-
-/// Builds the canonical key of `spec` (sorts its node sets).
-SpecKey MakeSpecKey(const LocalQuerySpec& spec);
-/// Materializes the spec a key denotes.
-LocalQuerySpec SpecFromKey(const SpecKey& key);
 
 struct SpecKeyHash {
   size_t operator()(const SpecKey& key) const;
 };
 
-/// Where a planner interns its keyhole subqueries. Intern returns an
-/// opaque ref: for SpecTable it is the flat index into specs(); for
-/// ShardedSpecTable it is a shard-encoded handle that Flatten() later maps
-/// to a flat index. Refs from one sink must never be mixed with another's.
-class SpecSink {
- public:
-  virtual ~SpecSink() = default;
-
-  /// Returns the ref of the subquery `key` denotes, interning it if new.
-  virtual size_t Intern(SpecKey key) = 0;
-};
-
-/// Interning table for keyhole subqueries: one entry per distinct
-/// (fragment, sources, targets) triple, so a fragment computes each
-/// selection once no matter how many chains need it. Not internally
-/// synchronized — each single query interns into its own table; batched
-/// queries intern concurrently into a ShardedSpecTable instead.
-class SpecTable : public SpecSink {
- public:
-  /// Returns the index of the spec `key` denotes, inserting it if new.
-  size_t Intern(SpecKey key) override;
-
-  const std::vector<LocalQuerySpec>& specs() const { return specs_; }
-  size_t size() const { return specs_.size(); }
-
- private:
-  std::map<SpecKey, size_t> index_;
-  std::vector<LocalQuerySpec> specs_;
-};
-
-/// The batch executor's interning table: mutex-striped shards keyed by the
-/// hash of the (fragment, sources, targets) triple, so any number of
-/// coordinator threads intern concurrently and contend only on hash
-/// collisions. Refs are shard-encoded handles; after the parallel planning
-/// phase, Flatten() seals the table into the flat spec vector the phase-1
+/// The planner's interning table for keyhole subqueries: one entry per
+/// distinct (fragment, sources, targets) triple, so a fragment computes
+/// each selection once no matter how many chains or queries need it.
+/// Mutex-striped shards keyed by the triple's hash let any number of
+/// coordinator threads intern concurrently, contending only on hash
+/// collisions. Intern returns a shard-encoded handle; after planning,
+/// Flatten() seals the table into the flat spec vector the phase-1
 /// fan-out consumes and maps every handle to its flat index.
-class ShardedSpecTable : public SpecSink {
+class SubqueryTable {
  public:
-  explicit ShardedSpecTable(size_t num_shards = 64);
+  explicit SubqueryTable(size_t num_shards = 64);
 
   /// Thread-safe. Returns a shard-encoded handle, NOT a flat index.
-  size_t Intern(SpecKey key) override;
+  size_t Intern(SpecKey key);
 
   size_t size() const { return table_.size(); }
 
@@ -154,50 +121,22 @@ class ShardedSpecTable : public SpecSink {
 /// endpoint fragments, with each hop resolved to an interned subquery.
 struct QueryPlan {
   std::vector<FragmentChain> chains;
-  /// chain_specs[c][i]: SpecTable index for hop i of chain c.
+  /// chain_specs[c][i]: index into the batch's flat spec vector for hop i
+  /// of chain c.
   std::vector<std::vector<size_t>> chain_specs;
-  /// Plan-cache accounting for this plan's chain lookups (zero when no
-  /// cache was supplied).
+  /// Skeleton-cache accounting for this plan's chain lookups (zero when
+  /// the plan was instantiated from a cached interned plan).
   size_t cache_hits = 0;
   size_t cache_misses = 0;
 };
 
-/// Builds the plan for a (from, to) query. With a cache, the (from, to)
-/// node pair's *interned plan* is fetched (built through the cache's
-/// skeletons on a miss — it survives batch boundaries, so hot pairs skip
-/// fragment location, skeleton lookups, and chain dedup on every later
-/// query) and instantiated into `specs`; without one, every skeleton is
-/// expanded on the spot. Either way each chain hop's subquery is interned
-/// into `specs` with the query constants stamped into the endpoint slots.
-/// Requires from != to. Thread-safe for concurrent callers sharing one
-/// cache, as long as the sink is its own (SpecTable) or internally
-/// synchronized (ShardedSpecTable).
-QueryPlan BuildQueryPlan(const Fragmentation& frag, NodeId from, NodeId to,
-                         size_t max_chains, ChainPlanCache* chain_cache,
-                         SpecSink* specs);
-
-/// Stamps an interned plan's endpoints into its skeleton-relative hop
-/// templates and interns one subquery per hop into `specs` — the
-/// cross-batch fast path of BuildQueryPlan. `(from, to)` is the pair the
-/// CALLER is planning: it must equal the plan's own endpoints in either
-/// orientation (ChainPlanCache::PlanFor aliases the unordered pair onto
-/// one entry). In the forward orientation the produced QueryPlan is
-/// bit-identical to building from scratch; in the reverse orientation
-/// every chain and its hops are emitted element-wise reversed with the
-/// source/target selections swapped — valid because disconnection sets
-/// and fragment adjacency are symmetric, and answer assembly minimizes
-/// over chains, so chain direction is immaterial to cost and route
-/// correctness. cache_hits/cache_misses are zero either way
-/// (instantiation performs no skeleton lookups).
-QueryPlan InstantiateInternedPlan(const InternedPlan& plan, NodeId from,
-                                  NodeId to, SpecSink* specs);
-
 /// A whole batch of endpoint pairs planned in parallel: one plan pointer
 /// per pair (nullptr for trivial from == to pairs), the sealed flat spec
-/// vector phase 1 consumes, and the sharing/cache accounting.
+/// vector phase 1 consumes, and the sharing/cache accounting. A single
+/// query is a batch of one.
 struct ParallelPlanResult {
   std::vector<const QueryPlan*> plans;
-  ShardedSpecTable::Flat flat;
+  SubqueryTable::Flat flat;
   /// Owns the distinct plans `plans` points into.
   std::unique_ptr<ShardedTable<uint64_t, QueryPlan, PairKeyHash>> memo;
   /// Pairs whose (from, to) plan was already interned — they skipped
@@ -205,7 +144,7 @@ struct ParallelPlanResult {
   size_t memo_hits = 0;
   /// Cross-batch interned-plan cache accounting, counted per distinct
   /// pair planned this batch: a hit instantiated a plan interned by an
-  /// earlier batch (or single query); a miss built and published it.
+  /// earlier batch; a miss built and published it.
   size_t interned_plan_hits = 0;
   size_t interned_plan_misses = 0;
   /// Skeleton-cache accounting summed over the distinct plans.
@@ -215,24 +154,21 @@ struct ParallelPlanResult {
   size_t distinct_plans() const { return memo->size(); }
 };
 
-/// The shared coordinator path of BatchExecutor and SiteNetwork: plans
+/// The one query planner, shared by DsaDatabase (single queries are
+/// batches of one), BatchExecutor, SiteNetwork and BottleneckDsa: plans
 /// every endpoint pair in parallel on `pool` (sequentially when null).
-/// Whole plans intern into a sharded memo by (from, to) so repeats skip
-/// planning, keyhole subqueries intern into one ShardedSpecTable
-/// batch-wide, and the table is sealed with every plan's refs rewritten
-/// to flat spec indices. Endpoints must be in range (callers validate);
-/// from == to pairs yield a null plan.
+/// Each distinct pair's plan comes from `chain_cache`'s interned plans
+/// (built through its skeletons on a miss) and is interned into a sharded
+/// memo by (from, to), so repeats skip planning; keyhole subqueries
+/// intern into one SubqueryTable batch-wide, and the table is sealed
+/// with every plan's refs rewritten to flat spec indices. Both tables get
+/// clamp(endpoints.size(), 1, 64) shards. `chain_cache` must be non-null.
+/// Endpoints must be in range (callers validate); from == to pairs yield
+/// a null plan.
 ParallelPlanResult PlanBatchInParallel(
     const Fragmentation& frag,
     const std::vector<std::pair<NodeId, NodeId>>& endpoints,
     size_t max_chains, ChainPlanCache* chain_cache, ThreadPool* pool);
-
-/// The distinct fragments the plan's subqueries touch, ascending. `specs`
-/// is the flat spec vector the plan's refs index (SpecTable::specs(), or a
-/// sealed ShardedSpecTable::Flat::specs).
-std::vector<FragmentId> InvolvedFragments(
-    const Fragmentation& frag, const QueryPlan& plan,
-    const std::vector<LocalQuerySpec>& specs);
 
 /// Runs all `specs` in parallel on `pool` (or sequentially when pool is
 /// null) and appends one SiteReport each. Results are returned in spec

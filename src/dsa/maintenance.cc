@@ -271,7 +271,7 @@ EpochStats MaintainedDatabase::ApplyEpoch(
     }
   }
 
-  if (!stats.caches_reset && old_snap.db->plan_cache() != nullptr) {
+  if (!stats.caches_reset) {
     std::vector<bool> endpoint_changed(num_nodes_, false);
     for (NodeId v = 0; v < num_nodes_; ++v) {
       endpoint_changed[v] =

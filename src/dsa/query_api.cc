@@ -1,5 +1,7 @@
 #include "dsa/query_api.h"
 
+#include "dsa/batch.h"
+
 namespace tcf {
 
 DsaDatabase::DsaDatabase(const Fragmentation* frag, DsaOptions options)
@@ -21,10 +23,8 @@ DsaDatabase::DsaDatabase(const Fragmentation* frag, DsaOptions options)
   const size_t threads = options_.num_threads > 0 ? options_.num_threads
                                                   : frag_->NumFragments();
   pool_ = std::make_shared<ThreadPool>(threads);
-  if (options_.plan_cache_capacity > 0) {
-    plan_cache_ = std::make_unique<ChainPlanCache>(
-        options_.plan_cache_capacity, options_.interned_plan_cache_capacity);
-  }
+  plan_cache_ = std::make_unique<ChainPlanCache>(
+      options_.plan_cache_capacity, options_.interned_plan_cache_capacity);
 }
 
 DsaDatabase::DsaDatabase(const Fragmentation* frag, DsaOptions options,
@@ -51,72 +51,36 @@ DsaDatabase::DsaDatabase(const Fragmentation* frag, DsaOptions options,
                                                     : frag_->NumFragments();
     pool_ = std::make_shared<ThreadPool>(threads);
   }
-  if (options_.plan_cache_capacity > 0) {
-    if (carry.plan_cache != nullptr) {
-      plan_cache_ = std::move(carry.plan_cache);
-    } else {
-      plan_cache_ = std::make_unique<ChainPlanCache>(
-          options_.plan_cache_capacity,
-          options_.interned_plan_cache_capacity);
-    }
+  if (carry.plan_cache != nullptr) {
+    plan_cache_ = std::move(carry.plan_cache);
+  } else {
+    plan_cache_ = std::make_unique<ChainPlanCache>(
+        options_.plan_cache_capacity, options_.interned_plan_cache_capacity);
   }
 }
 
-QueryPlan DsaDatabase::Plan(NodeId from, NodeId to, SpecSink* specs) const {
-  return BuildQueryPlan(*frag_, from, to, options_.max_chains,
-                        plan_cache_.get(), specs);
+namespace {
+
+// A single query is a batch of one: the same planner, phase-1 fan-out and
+// assembly as any batch, with the batch's breakdown merged into the
+// caller's report.
+RouteAnswer AnswerOne(const DsaDatabase* db, NodeId from, NodeId to,
+                      QueryKind kind, ExecutionReport* report) {
+  BatchResult result = BatchExecutor(db).Execute({Query{from, to, kind}});
+  if (report != nullptr) report->Merge(result.report);
+  return std::move(result.answers.front());
 }
+
+}  // namespace
 
 QueryAnswer DsaDatabase::ShortestPath(NodeId from, NodeId to,
                                       ExecutionReport* report) const {
-  TCF_CHECK(from < frag_->graph().NumNodes());
-  TCF_CHECK(to < frag_->graph().NumNodes());
-  if (from == to) {
-    QueryAnswer answer;
-    answer.connected = true;
-    answer.cost = 0.0;
-    return answer;
-  }
-
-  const ComplementaryInfo* comp =
-      options_.use_complementary ? &complementary_ : nullptr;
-  SpecTable specs;
-  QueryPlan plan = Plan(from, to, &specs);
-  if (plan.chains.empty()) {
-    QueryAnswer answer;
-    answer.chains_considered = 0;
-    return answer;
-  }
-
-  std::vector<LocalQueryResult> results = RunSites(
-      *frag_, comp, specs.specs(), options_.engine, pool_.get(), report);
-  return AssembleCostAnswer(*frag_, plan, specs.specs(), from, to, results,
-                            report);
+  return AnswerOne(this, from, to, QueryKind::kCost, report).answer;
 }
 
 RouteAnswer DsaDatabase::ShortestRoute(NodeId from, NodeId to,
                                        ExecutionReport* report) const {
-  TCF_CHECK(from < frag_->graph().NumNodes());
-  TCF_CHECK(to < frag_->graph().NumNodes());
-  TCF_CHECK_MSG(options_.use_complementary,
-                "route reconstruction requires complementary information");
-  if (from == to) {
-    RouteAnswer out;
-    out.answer.connected = true;
-    out.answer.cost = 0.0;
-    out.route = {from};
-    return out;
-  }
-
-  SpecTable specs;
-  QueryPlan plan = Plan(from, to, &specs);
-  if (plan.chains.empty()) return RouteAnswer{};
-
-  std::vector<LocalQueryResult> results =
-      RunSites(*frag_, &complementary_, specs.specs(), options_.engine,
-               pool_.get(), report);
-  return AssembleRouteAnswer(*frag_, complementary_, plan, specs.specs(),
-                             from, to, results, report);
+  return AnswerOne(this, from, to, QueryKind::kRoute, report);
 }
 
 bool DsaDatabase::IsConnected(NodeId from, NodeId to,

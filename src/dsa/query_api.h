@@ -10,8 +10,10 @@
 //      parallel, with the disconnection sets as keyhole selections,
 //   4. assembling the per-fragment answers with small binary joins.
 //
-// For answering *many* queries at once — sharing subqueries across queries
-// as well as across chains — see dsa/batch.h.
+// A single query is a batch of one: ShortestPath and ShortestRoute run
+// through BatchExecutor (dsa/batch.h), the same planner and pipeline that
+// answers *many* queries at once, sharing subqueries across queries as
+// well as across chains.
 #pragma once
 
 #include <memory>
@@ -32,12 +34,12 @@ struct DsaOptions {
   /// (answers may then be over-estimates; see EXPERIMENTS.md).
   bool use_complementary = true;
   /// Capacity of the chain-plan LRU cache (entries are fragment pairs);
-  /// 0 disables plan caching.
+  /// must be >= 1 — every query plans through the cache.
   size_t plan_cache_capacity = 4096;
   /// Capacity of the cross-batch interned-plan LRU cache (entries are
   /// (from, to) node pairs; plans are skeleton-relative, so they survive
-  /// batch boundaries). 0 disables cross-batch plan interning; the whole
-  /// cache is off when plan_cache_capacity == 0. Memory note: resident
+  /// batch boundaries). 0 disables cross-batch plan interning (the
+  /// skeleton cache still serves every chain lookup). Memory note: resident
   /// plans pin the skeletons they reference, so on workloads with few
   /// node-pair repeats (where the cache cannot pay off) this capacity —
   /// not plan_cache_capacity — is what bounds planner memory; shrink it
@@ -85,7 +87,8 @@ class DsaDatabase {
   const DsaOptions& options() const { return options_; }
 
   /// Shortest-path cost between two nodes; kInfinity when unconnected.
-  /// Fills `report` (if given) with the execution breakdown.
+  /// Adds the execution breakdown to `report` (if given), so one report
+  /// can accumulate several queries.
   QueryAnswer ShortestPath(NodeId from, NodeId to,
                            ExecutionReport* report = nullptr) const;
 
@@ -102,8 +105,8 @@ class DsaDatabase {
   bool IsConnected(NodeId from, NodeId to,
                    ExecutionReport* report = nullptr) const;
 
-  /// The shared chain-plan cache (nullptr when disabled). Exposed for
-  /// cache-hit-rate reporting in benches and tests.
+  /// The shared chain-plan cache (never null). Exposed for cache-hit-rate
+  /// reporting in benches and tests.
   const ChainPlanCache* plan_cache() const { return plan_cache_.get(); }
 
   /// The phase-1 pool shared by all queries against this database. The
@@ -122,11 +125,6 @@ class DsaDatabase {
 
  private:
   friend class BatchExecutor;
-
-  /// Plans `from` -> `to` through the plan cache, interning subqueries
-  /// into `specs` (a per-query SpecTable, or the batch executor's shared
-  /// ShardedSpecTable).
-  QueryPlan Plan(NodeId from, NodeId to, SpecSink* specs) const;
 
   const Fragmentation* frag_;
   DsaOptions options_;

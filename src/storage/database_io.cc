@@ -320,26 +320,6 @@ class MmapPageSource final : public PageSource {
   size_t page_size_;
 };
 
-/// Buffer-pool path: pages fault through a BufferPool over a FilePageStore.
-class PoolPageSource final : public PageSource {
- public:
-  PoolPageSource(std::unique_ptr<FilePageStore> store, size_t frames)
-      : store_(std::move(store)), pool_(store_.get(), frames) {}
-
-  uint64_t page_count() const override { return store_->page_count(); }
-  size_t page_size() const override { return store_->page_size(); }
-
-  Status ReadPayload(uint64_t index, std::string* out) override {
-    Result<BufferPool::PageRef> ref = pool_.Pin(index);
-    if (!ref.ok()) return ref.status();
-    return CheckAndAppend({ref.value().data(), page_size()}, index, out);
-  }
-
- private:
-  std::unique_ptr<FilePageStore> store_;
-  BufferPool pool_;
-};
-
 /// Paged-open path: the same pool the paged relations will use afterwards,
 /// so open-time verification warms the very frames queries read through.
 class SharedPoolPageSource final : public PageSource {
@@ -771,12 +751,11 @@ Result<StoredDatabase> OpenDatabase(const std::string& path,
   std::unique_ptr<PageSource> source;
   std::shared_ptr<PagedFile> paged_file;
   if (options.mode == OpenMode::kPaged) {
-    // A budget, when given, overrides buffer_pool_frames (documented in
-    // OpenOptions). The pool needs at least 2 frames to make progress
-    // (one transient scan pin plus one fault-in); rather than silently
-    // inflating an impossible budget to that floor, reject it so the
-    // caller learns their sizing never took effect.
-    size_t frames = std::max<size_t>(options.buffer_pool_frames, 2);
+    // The pool needs at least 2 frames to make progress (one transient
+    // scan pin plus one fault-in); rather than silently inflating an
+    // impossible budget to that floor, reject it so the caller learns
+    // their sizing never took effect.
+    size_t frames = kDefaultPoolFrames;
     if (options.memory_budget_bytes > 0) {
       if (options.memory_budget_bytes < 2 * page_size) {
         return Status::InvalidArgument(
@@ -793,7 +772,7 @@ Result<StoredDatabase> OpenDatabase(const std::string& path,
     if (!file.ok()) return file.status();
     paged_file = std::move(file).value();
     source = std::make_unique<SharedPoolPageSource>(paged_file);
-  } else if (options.use_mmap) {
+  } else {
     Result<MmapFile> mapped = MmapFile::Map(path);
     if (!mapped.ok()) return mapped.status();
     if (mapped.value().bytes().size() % page_size != 0) {
@@ -805,20 +784,12 @@ Result<StoredDatabase> OpenDatabase(const std::string& path,
     }
     source = std::make_unique<MmapPageSource>(std::move(mapped).value(),
                                               page_size);
-  } else {
-    auto store = FilePageStore::Open(path, page_size, /*read_only=*/true);
-    if (!store.ok()) return store.status();
-    source = std::make_unique<PoolPageSource>(
-        std::move(store).value(),
-        options.buffer_pool_frames > 0 ? options.buffer_pool_frames : 1);
   }
 
-  if (options.verify_checksums) {
-    // The corruption-detection contract: any flipped bit anywhere in the
-    // file fails here, before any byte is interpreted.
-    for (uint64_t i = 0; i < source->page_count(); ++i) {
-      TCF_RETURN_NOT_OK(source->ReadPayload(i, nullptr));
-    }
+  // The corruption-detection contract: any flipped bit anywhere in the
+  // file fails here, before any byte is interpreted.
+  for (uint64_t i = 0; i < source->page_count(); ++i) {
+    TCF_RETURN_NOT_OK(source->ReadPayload(i, nullptr));
   }
 
   std::string superblock_payload;

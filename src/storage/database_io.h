@@ -6,16 +6,15 @@
 // on-disk format is normative in docs/STORAGE.md; version/compat rules and
 // the corruption-detection contract live there.
 //
-// Two read paths share one decoder:
-//   - mmap fast path (default): the whole file is mapped read-only and blob
-//     bytes are decoded straight out of the mapping — no page copies, no
-//     syscalls per page. This is what makes open-vs-rebuild a >=5x win
+// Two read paths share one decoder, one per OpenMode:
+//   - resident: the whole file is mapped read-only and blob bytes are
+//     decoded straight out of the mapping — no page copies, no syscalls
+//     per page. This is what makes open-vs-rebuild a >=5x win
 //     (bench/storage_io gates it).
-//   - buffer-pool path: pages are faulted through a BufferPool over a
-//     FilePageStore — the seam that will let fragment relations spill to
-//     disk (ROADMAP item 4) and the path exercised when mmap is unwanted.
-// Both verify every page's CRC32C at open by default, so a single flipped
-// bit anywhere in the file is a clean kIOError, never a crash.
+//   - paged: pages are faulted through the BufferPool the paged shortcut
+//     relations keep reading through after the open.
+// Both verify every page's CRC32C at open, so a single flipped bit
+// anywhere in the file is a clean kIOError, never a crash.
 #pragma once
 
 #include <memory>
@@ -36,14 +35,14 @@ struct SaveOptions {
 
 /// How an opened database holds its fragment shortcut relations.
 enum class OpenMode {
-  /// Decode every blob eagerly into RAM (the PR 9 behavior): fastest to
-  /// query, but resident memory scales with total relation bytes.
+  /// Decode every blob eagerly into RAM out of one read-only mmap of the
+  /// file: fastest to query, but resident memory scales with total
+  /// relation bytes.
   kResident,
   /// Shortcut relations stay on disk as lazy paged relations; queries
   /// stream tuples through buffer-pool pinned pages of the fragments their
   /// chain plan names. Resident relation memory is bounded by the pool
-  /// (`buffer_pool_frames` / `memory_budget_bytes`), so databases larger
-  /// than RAM serve queries. Implies the buffer-pool read path (no mmap).
+  /// (`memory_budget_bytes`), so databases larger than RAM serve queries.
   kPaged,
 };
 
@@ -53,25 +52,17 @@ struct OpenOptions {
   DsaOptions dsa;
   /// Eager-resident or lazy-paged shortcut relations (see OpenMode).
   OpenMode mode = OpenMode::kResident;
-  /// Read via one read-only mmap of the whole file (fast path). When
-  /// false, pages are faulted through a BufferPool instead. Ignored under
-  /// OpenMode::kPaged (always the pool).
-  bool use_mmap = true;
-  /// Frames for the buffer-pool path (ignored under mmap).
-  size_t buffer_pool_frames = 256;
-  /// When nonzero and opening paged, size the pool as
-  /// memory_budget_bytes / page_size frames *instead of*
-  /// `buffer_pool_frames` — the `--memory-budget-mb` knob of tcfragd. A
-  /// nonzero budget below two frames' worth of bytes (the pool's
-  /// progress floor) is rejected with InvalidArgument rather than
-  /// silently rounded up.
+  /// Under OpenMode::kPaged, the buffer pool holds
+  /// memory_budget_bytes / page_size frames — the `--memory-budget-mb`
+  /// knob of tcfragd; 0 means kDefaultPoolFrames. A nonzero budget below
+  /// two frames' worth of bytes (the pool's progress floor) is rejected
+  /// with InvalidArgument rather than silently rounded up. Ignored when
+  /// resident.
   size_t memory_budget_bytes = 0;
-  /// Verify every page's checksum up front. Leaving this on is the
-  /// corruption-detection contract of docs/STORAGE.md; turning it off
-  /// skips the whole-file sweep but pages actually decoded are still
-  /// verified.
-  bool verify_checksums = true;
 };
+
+/// Buffer-pool frames of a paged open without a memory budget.
+inline constexpr size_t kDefaultPoolFrames = 256;
 
 /// An opened database: the same ownership-chained triple a maintenance
 /// snapshot carries (each shared_ptr keeps its dependency alive), so any

@@ -43,6 +43,12 @@ void ThreadPool::WorkerLoop() {
 
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
+  // One task has nothing to overlap with: a queue round trip and a worker
+  // wake-up would only add latency (a single query's lone subquery).
+  if (n == 1) {
+    fn(0);
+    return;
+  }
   std::vector<std::future<void>> futures;
   futures.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -54,6 +60,10 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
 void ThreadPool::ParallelForRanges(
     size_t n, const std::function<void(size_t, size_t)>& fn) {
   if (n == 0) return;
+  if (n == 1) {
+    fn(0, 1);  // as in ParallelFor: one task runs on the caller
+    return;
+  }
   // ~4 ranges per worker: enough slack to absorb uneven range costs
   // without reintroducing per-item queue traffic.
   const size_t max_tasks = workers_.size() * 4;

@@ -47,13 +47,15 @@ class ThreadPool {
 
   /// Run fn(i) for i in [0, n) across the pool and wait for completion.
   /// One task per index — right when each call does real work (a site
-  /// subquery, a query assembly).
+  /// subquery, a query assembly). With n == 1 the one call runs on the
+  /// calling thread.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   /// Run fn(begin, end) over a partition of [0, n) into contiguous ranges
   /// (a few per worker) and wait for completion. Amortizes the per-task
   /// queue overhead when the loop body is cheap — the batch executor plans
-  /// tens of thousands of queries this way.
+  /// tens of thousands of queries this way. With n == 1 the one range runs
+  /// on the calling thread.
   void ParallelForRanges(size_t n,
                          const std::function<void(size_t, size_t)>& fn);
 

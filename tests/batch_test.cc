@@ -249,27 +249,6 @@ void ExpectSameAnswers(const BatchResult& got, const BatchResult& want) {
   }
 }
 
-TEST(BatchPlanCache, DisabledCacheStillAnswersCorrectly) {
-  PlanCacheFixture fx;
-  const std::vector<Query> queries = fx.MakeQueries(200);
-
-  DsaDatabase cached_db(&*fx.frag);
-  const BatchResult want = BatchExecutor(&cached_db).Execute(queries);
-
-  DsaOptions opts;
-  opts.plan_cache_capacity = 0;  // disabled: skeletons expanded per plan
-  DsaDatabase db(&*fx.frag, opts);
-  ASSERT_EQ(db.plan_cache(), nullptr);
-  const BatchResult got = BatchExecutor(&db).Execute(queries);
-
-  ExpectSameAnswers(got, want);
-  EXPECT_EQ(got.stats.plan_cache_hits, 0u);
-  EXPECT_EQ(got.stats.plan_cache_misses, 0u);
-  // Sharing is planner-side, not cache-side: dedup must be unaffected.
-  EXPECT_EQ(got.stats.subqueries_executed, want.stats.subqueries_executed);
-  EXPECT_EQ(got.stats.subqueries_requested, want.stats.subqueries_requested);
-}
-
 TEST(BatchPlanCache, CapacityOneChurnsButStaysCorrect) {
   PlanCacheFixture fx;
   const std::vector<Query> queries = fx.MakeQueries(200);

@@ -5,7 +5,11 @@
 // problem" dimension of the paper.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
+#include <tuple>
+#include <vector>
 
 #include "dsa/bottleneck.h"
 #include "fragment/bond_energy.h"
@@ -168,6 +172,71 @@ TEST(BottleneckDsa, SelfAndDisconnected) {
   EXPECT_EQ(db.WidestPath(1, 1).capacity, kInfinity);
   EXPECT_FALSE(db.WidestPath(0, 3).connected);
   EXPECT_DOUBLE_EQ(db.WidestPath(0, 3).capacity, 0.0);
+}
+
+TEST(BottleneckDsa, ChainsSharingAHopRunItOnce) {
+  // Four fragments in a ring A-B-C-D-A. Node 2 is the A/B border, so a
+  // query from it takes the chains of both (A, C) and (B, C): {A,B,C},
+  // {A,D,C}, {B,C} and {B,A,D,C}. {B,C} repeats the last two hops of
+  // {A,B,C}, and {B,A,D,C} the last three of {A,D,C}.
+  GraphBuilder b(8);
+  b.AddSymmetricEdge(0, 1, 3.0);  // A
+  b.AddSymmetricEdge(1, 2, 5.0);  // A
+  b.AddSymmetricEdge(2, 3, 4.0);  // B
+  b.AddSymmetricEdge(3, 4, 2.0);  // B (narrow: the short way loses)
+  b.AddSymmetricEdge(4, 5, 6.0);  // C
+  b.AddSymmetricEdge(5, 6, 7.0);  // C
+  b.AddSymmetricEdge(6, 7, 8.0);  // D
+  b.AddSymmetricEdge(7, 0, 9.0);  // D
+  Graph g = b.Build();
+  Fragmentation f(&g, {0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3}, 4);
+  const NodeId from = 2;
+  const NodeId to = 5;
+
+  // Independent count of chain hops and distinct keyhole subqueries.
+  std::vector<FragmentChain> chains;
+  for (FragmentId fa : f.FragmentsOfNode(from)) {
+    for (FragmentId fb : f.FragmentsOfNode(to)) {
+      for (FragmentChain& c : FindChains(f, fa, fb)) {
+        if (std::find(chains.begin(), chains.end(), c) == chains.end()) {
+          chains.push_back(std::move(c));
+        }
+      }
+    }
+  }
+  auto ds = [&](FragmentId x, FragmentId y) {
+    return f.FindDisconnectionSet(x, y)->nodes;
+  };
+  std::set<std::tuple<FragmentId, std::vector<NodeId>, std::vector<NodeId>>>
+      distinct;
+  size_t hops = 0;
+  for (const FragmentChain& c : chains) {
+    for (size_t i = 0; i < c.size(); ++i) {
+      distinct.emplace(
+          c[i], i == 0 ? std::vector<NodeId>{from} : ds(c[i - 1], c[i]),
+          i + 1 == c.size() ? std::vector<NodeId>{to} : ds(c[i], c[i + 1]));
+      ++hops;
+    }
+  }
+  ASSERT_EQ(chains.size(), 4u);
+  ASSERT_EQ(hops, 12u);
+  ASSERT_EQ(distinct.size(), 7u);
+
+  BottleneckDsa db(&f);
+  ExecutionReport report;
+  const BottleneckAnswer answer = db.WidestPath(from, to, &report);
+  EXPECT_EQ(answer.chains_considered, chains.size());
+  EXPECT_EQ(report.sites.size(), distinct.size());
+  EXPECT_DOUBLE_EQ(answer.capacity, 3.0);  // 2-1-0-7-6-5, round via D
+
+  for (NodeId s = 0; s < g.NumNodes(); ++s) {
+    const WidestPaths oracle = WidestPathsFrom(g, s);
+    for (NodeId u = 0; u < g.NumNodes(); ++u) {
+      if (s == u) continue;
+      EXPECT_DOUBLE_EQ(db.WidestPath(s, u).capacity, oracle.capacity[u])
+          << s << "->" << u;
+    }
+  }
 }
 
 struct BnParam {

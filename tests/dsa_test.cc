@@ -280,6 +280,16 @@ TEST(DsaDatabase, ReportAccountsPhases) {
   EXPECT_GE(report.phase1_cpu_seconds, report.SlowestSiteSeconds());
   EXPECT_GE(report.SlowestSiteSeconds(), 0.0);
   EXPECT_EQ(report.sites.size(), 3u);
+
+  // A second query adds to the same report instead of replacing it.
+  const size_t first_tuples = report.communication_tuples;
+  ExecutionReport second;
+  db.ShortestPath(1, 5, &second);
+  ASSERT_FALSE(second.sites.empty());
+  db.ShortestPath(1, 5, &report);
+  EXPECT_EQ(report.sites.size(), 3u + second.sites.size());
+  EXPECT_EQ(report.communication_tuples,
+            first_tuples + second.communication_tuples);
 }
 
 TEST(DsaDatabase, WithoutComplementaryOverestimatesSideBranchDetours) {
@@ -368,15 +378,6 @@ TEST(ChainPlanCache, DsaDatabaseWiresCacheIntoQueries) {
   const LruCacheStats warm = db.plan_cache()->Stats();
   EXPECT_GT(warm.hits, cold.hits);
   EXPECT_EQ(warm.misses, cold.misses);
-}
-
-TEST(ChainPlanCache, DisabledByZeroCapacity) {
-  ChainFixture fx;
-  DsaOptions opts;
-  opts.plan_cache_capacity = 0;
-  DsaDatabase db(fx.frag.get(), opts);
-  EXPECT_EQ(db.plan_cache(), nullptr);
-  EXPECT_DOUBLE_EQ(db.ShortestPath(0, 6).cost, 8.0);  // still answers
 }
 
 // ---- Central property: DSA == oracle. Small fast sweep here; the full

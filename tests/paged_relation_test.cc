@@ -176,7 +176,7 @@ TEST_F(PagedRelationTest, PagedScanMatchesResidentAcrossPageSizes) {
 
     OpenOptions paged;
     paged.mode = OpenMode::kPaged;
-    paged.buffer_pool_frames = 4;
+    paged.memory_budget_bytes = 4 * page_size;
     Result<StoredDatabase> opened = OpenDatabase(path_, paged);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     ASSERT_NE(opened.value().paged_file, nullptr);
@@ -247,7 +247,7 @@ TEST_F(PagedRelationTest, EpochCopyOnWriteRebuildsDirtyFragmentsResident) {
 
   OpenOptions paged;
   paged.mode = OpenMode::kPaged;
-  paged.buffer_pool_frames = 8;
+  paged.memory_budget_bytes = 8 * kMinPageSize;
   std::shared_ptr<PagedFile> paged_file;
   Result<std::unique_ptr<MaintainedDatabase>> opened =
       OpenMaintainedDatabase(path_, paged, &paged_file);
@@ -403,10 +403,12 @@ TEST_F(PagedRelationTest, BelowFloorMemoryBudgetIsRejected) {
             std::string::npos)
       << opened.status().ToString();
 
-  // Zero budget means "unset": buffer_pool_frames governs and the open
-  // succeeds.
+  // Zero budget means "unset": the open succeeds with the default pool.
   paged.memory_budget_bytes = 0;
-  EXPECT_TRUE(OpenDatabase(path_, paged).ok());
+  opened = OpenDatabase(path_, paged);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened.value().paged_file->pool().num_frames(),
+            kDefaultPoolFrames);
 }
 
 TEST_F(PagedRelationTest, CorruptPageFailsQueryNotProcess) {
@@ -420,7 +422,7 @@ TEST_F(PagedRelationTest, CorruptPageFailsQueryNotProcess) {
 
   OpenOptions paged;
   paged.mode = OpenMode::kPaged;
-  paged.buffer_pool_frames = 2;
+  paged.memory_budget_bytes = 2 * kMinPageSize;
   Result<StoredDatabase> opened = OpenDatabase(path_, paged);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   const ComplementaryInfo& comp = opened.value().db->complementary();
@@ -532,7 +534,7 @@ TEST_F(PagedRelationTest, ConcurrentColdLookupsBuildIndexOnce) {
   ASSERT_TRUE(SaveDatabase(fresh, path, save).ok());
   OpenOptions paged;
   paged.mode = OpenMode::kPaged;
-  paged.buffer_pool_frames = 2;
+  paged.memory_budget_bytes = 2 * kMinPageSize;
   Result<StoredDatabase> opened = OpenDatabase(path, paged);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   for (size_t f = 0; f < fresh.complementary().shortcuts.size(); ++f) {

@@ -1,10 +1,11 @@
 // The save/open contract of storage/database_io.h, from both sides:
 //
-//   - round-trip equality: a saved-then-reopened database (both the mmap
-//     and the buffer-pool path) answers a randomized sweep identically to
-//     the freshly built database AND to the whole-graph Dijkstra oracle,
-//     across fragmenters, engines, and page sizes; maintained databases
-//     resume updates at the stored epoch + 1.
+//   - round-trip equality: a saved-then-reopened database (both the
+//     resident mmap open and the paged buffer-pool open) answers a
+//     randomized sweep identically to the freshly built database AND to
+//     the whole-graph Dijkstra oracle, across fragmenters, engines, and
+//     page sizes; maintained databases resume updates at the stored
+//     epoch + 1.
 //   - hostility: truncation at every page boundary, single-bit flips
 //     across the whole file, magic/version/page-size mismatches and lying
 //     superblock fields are all rejected with a descriptive Status — never
@@ -67,19 +68,23 @@ class StorageTest : public ::testing::Test {
     StoreU32(file->data(), Crc32c(file->data() + 4, page_size - 4));
   }
 
-  /// Expect both open paths to reject the current file, without crashing.
+  /// Expect both open modes to reject the current file, without crashing.
   void ExpectOpenFails(StatusCode expected_code = StatusCode::kOk) const {
-    for (const bool use_mmap : {true, false}) {
+    for (const OpenMode mode : {OpenMode::kResident, OpenMode::kPaged}) {
       OpenOptions options;
-      options.use_mmap = use_mmap;
+      options.mode = mode;
       const Result<StoredDatabase> opened = OpenDatabase(path_, options);
-      ASSERT_FALSE(opened.ok()) << (use_mmap ? "mmap" : "pool");
+      ASSERT_FALSE(opened.ok()) << ModeName(mode);
       EXPECT_FALSE(opened.status().message().empty());
       if (expected_code != StatusCode::kOk) {
         EXPECT_EQ(opened.status().code(), expected_code)
-            << opened.status().ToString();
+            << ModeName(mode) << ": " << opened.status().ToString();
       }
     }
+  }
+
+  static const char* ModeName(OpenMode mode) {
+    return mode == OpenMode::kResident ? "resident" : "paged";
   }
 
   std::string path_;
@@ -126,12 +131,13 @@ TEST_F(StorageTest, RoundTripSweepAcrossFragmentersAndEngines) {
       dsa.engine = engine;
       const DsaDatabase fresh(&frag, dsa);
       ASSERT_TRUE(SaveDatabase(fresh, path_).ok());
-      for (const bool use_mmap : {true, false}) {
+      for (const OpenMode mode : {OpenMode::kResident, OpenMode::kPaged}) {
         OpenOptions options;
         options.dsa = dsa;
-        options.use_mmap = use_mmap;
+        options.mode = mode;
         Result<StoredDatabase> opened = OpenDatabase(path_, options);
-        ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+        ASSERT_TRUE(opened.ok()) << ModeName(mode) << ": "
+                                 << opened.status().ToString();
         const StoredDatabase& stored = opened.value();
         EXPECT_EQ(stored.epoch, 0u);
         EXPECT_EQ(stored.graph->NumNodes(), t.graph.NumNodes());

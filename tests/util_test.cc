@@ -6,6 +6,7 @@
 #include <atomic>
 #include <numeric>
 #include <set>
+#include <thread>
 
 #include "util/bit_matrix.h"
 #include "util/lru_cache.h"
@@ -391,6 +392,34 @@ TEST(ThreadPool, ParallelForRangesCoversAllIndicesExactlyOnce) {
 TEST(ThreadPool, ParallelForRangesZeroIsNoop) {
   ThreadPool pool(2);
   pool.ParallelForRanges(0, [](size_t, size_t) { FAIL(); });
+}
+
+TEST(ThreadPool, SingleTaskRunsOnTheCallingThread) {
+  // A lone task has nothing to overlap with, so both loops run it inline
+  // (a single query's lone subquery skips the queue round trip); from two
+  // tasks on, the workers run them.
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id loop_thread;
+  std::thread::id range_thread;
+  pool.ParallelFor(1, [&](size_t i) {
+    EXPECT_EQ(i, 0u);
+    loop_thread = std::this_thread::get_id();
+  });
+  pool.ParallelForRanges(1, [&](size_t begin, size_t end) {
+    EXPECT_EQ(begin, 0u);
+    EXPECT_EQ(end, 1u);
+    range_thread = std::this_thread::get_id();
+  });
+  EXPECT_EQ(loop_thread, caller);
+  EXPECT_EQ(range_thread, caller);
+
+  std::vector<std::thread::id> pair_threads(2);
+  pool.ParallelFor(2, [&](size_t i) {
+    pair_threads[i] = std::this_thread::get_id();
+  });
+  EXPECT_NE(pair_threads[0], caller);
+  EXPECT_NE(pair_threads[1], caller);
 }
 
 TEST(ThreadPool, ParallelForRangesSmallerThanWorkerCount) {

@@ -27,16 +27,22 @@
 // at most N MiB, so the daemon can serve a database larger than RAM. Pool
 // hit/miss/eviction counters are printed with the shutdown stats.
 //
+// Every numeric flag must be a whole base-10 value inside its range (see
+// ParseFlags); anything else prints the flag and the accepted range and
+// exits 2, before a thread is spawned or a port is bound.
+//
 // Shutdown ordering matters and is deliberate: the server stops FIRST
 // (drains every in-flight reply onto the wire), the service second — the
 // order the shutdown-drain contract in net/server.h prescribes.
+#include <charconv>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <string>
-
 #include <memory>
+#include <sstream>
+#include <string>
+#include <type_traits>
 
 #include "dsa/maintenance.h"
 #include "dsa/service.h"
@@ -76,41 +82,78 @@ void Usage(const char* argv0) {
       argv0);
 }
 
+template <typename T>
+std::string Show(T value) {
+  std::ostringstream out;
+  out << value;
+  return out.str();
+}
+
+// Parses all of `text` as a base-10 number in [lo, hi]. Empty text, a
+// sign on an unsigned flag, trailing bytes, overflow, NaN and values out
+// of range are all rejected with the flag name and the accepted range.
+template <typename T>
+bool ParseInRange(const std::string& flag, const char* text, T lo, T hi,
+                  T* out) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || !(lo <= value && value <= hi)) {
+    std::fprintf(stderr, "tcfragd: %s must be %s in [%s, %s], got '%s'\n",
+                 flag.c_str(),
+                 std::is_integral_v<T> ? "an integer" : "a number",
+                 Show(lo).c_str(), Show(hi).c_str(), text);
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+// The ranges keep every value inside what the library accepts: the
+// generator needs a cluster and two nodes per cluster, the fragmenter and
+// the service at least one fragment and one query per batch, and a
+// budget must survive the MiB-to-bytes shift. The upper bounds keep a
+// typo from asking for more nodes, fragment threads or shards than a
+// daemon can hold.
 bool ParseFlags(int argc, char** argv, Flags* flags) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    const char* v = nullptr;
-    if (arg == "--port" && (v = next())) {
-      flags->port = static_cast<uint16_t>(std::strtoul(v, nullptr, 10));
-    } else if (arg == "--bind" && (v = next())) {
+    if (i + 1 == argc) {  // every flag takes a value
+      Usage(argv[0]);
+      return false;
+    }
+    const char* v = argv[++i];
+    bool ok = true;
+    if (arg == "--port") {
+      ok = ParseInRange<uint16_t>(arg, v, 0, 65535, &flags->port);
+    } else if (arg == "--bind") {
       flags->bind = v;
-    } else if (arg == "--clusters" && (v = next())) {
-      flags->clusters = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--nodes-per-cluster" && (v = next())) {
-      flags->nodes_per_cluster = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--edges-per-cluster" && (v = next())) {
-      flags->edges_per_cluster = std::strtod(v, nullptr);
-    } else if (arg == "--fragments" && (v = next())) {
-      flags->fragments = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--seed" && (v = next())) {
-      flags->seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--max-batch" && (v = next())) {
-      flags->max_batch = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--flush-workers" && (v = next())) {
-      flags->flush_workers = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--shards" && (v = next())) {
-      flags->shards = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--db" && (v = next())) {
+    } else if (arg == "--clusters") {
+      ok = ParseInRange<size_t>(arg, v, 1, 1024, &flags->clusters);
+    } else if (arg == "--nodes-per-cluster") {
+      ok = ParseInRange<size_t>(arg, v, 2, 4096, &flags->nodes_per_cluster);
+    } else if (arg == "--edges-per-cluster") {
+      ok = ParseInRange<double>(arg, v, 0.0, 1e8, &flags->edges_per_cluster);
+    } else if (arg == "--fragments") {
+      ok = ParseInRange<size_t>(arg, v, 1, 1024, &flags->fragments);
+    } else if (arg == "--seed") {
+      ok = ParseInRange<uint64_t>(arg, v, 0, UINT64_MAX, &flags->seed);
+    } else if (arg == "--max-batch") {
+      ok = ParseInRange<size_t>(arg, v, 1, 65536, &flags->max_batch);
+    } else if (arg == "--flush-workers") {
+      ok = ParseInRange<size_t>(arg, v, 0, 64, &flags->flush_workers);
+    } else if (arg == "--shards") {
+      ok = ParseInRange<size_t>(arg, v, 1, 256, &flags->shards);
+    } else if (arg == "--db") {
       flags->db_path = v;
-    } else if (arg == "--memory-budget-mb" && (v = next())) {
-      flags->memory_budget_mb = std::strtoull(v, nullptr, 10);
+    } else if (arg == "--memory-budget-mb") {
+      ok = ParseInRange<size_t>(arg, v, 0, SIZE_MAX >> 20,
+                                &flags->memory_budget_mb);
     } else {
       Usage(argv[0]);
       return false;
     }
+    if (!ok) return false;
   }
   return true;
 }
