@@ -6,7 +6,7 @@
 // single-query series. Reports queries/sec for both paths, the batch
 // speed-up, the planning-phase time, the cross-query subquery
 // deduplication savings, the chain-plan (skeleton) cache hit rate, and the
-// interned-plan skip rate — the sharing effects that make batching pay,
+// plan-memo skip rate — the sharing effects that make batching pay,
 // especially on the hot-pair mix.
 //
 // A second section sweeps the coordinator thread count on a large uniform

@@ -48,8 +48,7 @@ BatchResult BatchExecutor::Execute(const std::vector<Query>& queries) const {
   }
   result.stats.plan_memo_hits = planned.memo_hits;
   result.stats.plan_memo_misses = planned.distinct_plans();
-  result.stats.interned_plan_hits = planned.interned_plan_hits;
-  result.stats.interned_plan_misses = planned.interned_plan_misses;
+  result.stats.interned_plan_misses = planned.distinct_plans();
   result.stats.subqueries_executed = flat_specs.size();
   result.stats.plan_seconds = plan_timer.ElapsedSeconds();
 

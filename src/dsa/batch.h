@@ -4,13 +4,10 @@
 // fan-out:
 //
 //   1. plan every query *in parallel* on the database's shared ThreadPool:
-//      each (from, to) pair is planned exactly once into a per-batch
-//      interned-plan memo (repeats — the whole point of hot-pair traffic —
-//      skip planning outright); distinct pairs first consult the
-//      *cross-batch* interned-plan cache (skeleton-relative plans that
-//      survive spec-table sealing, see dsa/chains.h), so a pair planned by
-//      an EARLIER batch skips chain lookup and dedup too and only
-//      re-stamps its hops into this batch's spec table,
+//      each (from, to) pair is planned exactly once into a per-batch plan
+//      memo (repeats — the whole point of hot-pair traffic — skip planning
+//      outright) by stamping its endpoints into the cached chain skeletons
+//      of its endpoint-fragment pairs (see dsa/chains.h),
 //   2. intern all keyhole subqueries into one mutex-striped
 //      SubqueryTable, so queries that hit the same (fragment,
 //      source-DS, target-DS) triple share a single site computation — and
@@ -65,19 +62,14 @@ struct BatchStats {
   /// so these count per *distinct* pair, not per query.
   size_t plan_cache_hits = 0;
   size_t plan_cache_misses = 0;
-  /// Interned-plan reuse inside this batch: a hit is a query whose
+  /// Plan-memo reuse inside this batch: a hit is a query whose
   /// (from, to) pair was already planned — it skipped chain lookup and
   /// subquery interning entirely. Misses count the distinct pairs planned.
   size_t plan_memo_hits = 0;
   size_t plan_memo_misses = 0;
-  /// Cross-batch interned-plan cache reuse, per distinct pair planned this
-  /// batch: a hit instantiated a skeleton-relative plan interned by an
-  /// *earlier* batch (a single query is a batch of one) against this
-  /// database — no chain lookup, no skeleton fetch, no chain dedup; a miss
-  /// built and published the plan for later batches. With cross-batch
-  /// interning disabled (interned_plan_cache_capacity == 0), every
-  /// distinct pair counts as a miss (built, not published).
+  /// Kept only for perfbench: always 0.
   size_t interned_plan_hits = 0;
+  /// Kept only for perfbench: the distinct pairs planned (plan_memo_misses).
   size_t interned_plan_misses = 0;
 
   double plan_seconds = 0.0;      // parallel planning + interning
@@ -105,14 +97,6 @@ struct BatchStats {
     const size_t lookups = plan_memo_hits + plan_memo_misses;
     return lookups == 0 ? 0.0
                         : static_cast<double>(plan_memo_hits) / lookups;
-  }
-  /// Fraction of this batch's distinct pairs served by plans interned
-  /// before the batch started (≈1 for a repeated batch on a warm cache).
-  double InternedPlanHitRate() const {
-    const size_t lookups = interned_plan_hits + interned_plan_misses;
-    return lookups == 0
-               ? 0.0
-               : static_cast<double>(interned_plan_hits) / lookups;
   }
   double QueriesPerSecond() const {
     return wall_seconds == 0.0 ? 0.0 : num_queries / wall_seconds;

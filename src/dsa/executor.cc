@@ -101,57 +101,29 @@ void StampChain(const FragmentChain& chain,
   }
 }
 
-// The reverse-orientation twin of StampChain, used when a plan cached for
-// (a, b) serves a (b, a) query: the chain is traversed back-to-front and
-// each hop's source/target roles swap. A hop's fixed selections are
-// disconnection sets, which are symmetric, so the reversed hop's sources
-// are exactly the original hop's targets; the original first hop's
-// endpoint slot (the cached plan's `from`) becomes the reversed last
-// hop's target, stamped with the caller's `to` — which IS the cached
-// `from`, so the stamped constants are the same nodes, just on swapped
-// sides.
-void StampChainReversed(const FragmentChain& chain,
-                        const std::vector<HopTemplate>& hops, NodeId from,
-                        NodeId to, SubqueryTable* specs, QueryPlan* plan) {
-  plan->chains.emplace_back(chain.rbegin(), chain.rend());
-  std::vector<size_t>& refs = plan->chain_specs.emplace_back();
-  refs.reserve(hops.size());
-  for (auto it = hops.rbegin(); it != hops.rend(); ++it) {
-    const HopTemplate& hop = *it;
-    SpecKey key(hop.fragment,
-                hop.target_is_endpoint ? std::vector<NodeId>{from}
-                                       : hop.targets,
-                hop.source_is_endpoint ? std::vector<NodeId>{to}
-                                       : hop.sources);
-    refs.push_back(specs->Intern(std::move(key)));
-  }
-}
-
-// Stamps an interned plan's endpoints into its skeleton-relative hop
-// templates and interns one subquery per hop into `specs`. `(from, to)` is
-// the pair the caller is planning: it must equal the plan's own endpoints
-// in either orientation (ChainPlanCache::PlanFor aliases the unordered
-// pair onto one entry). In the reverse orientation every chain and its
-// hops are emitted element-wise reversed with the source/target
-// selections swapped — valid because disconnection sets and fragment
-// adjacency are symmetric, and answer assembly minimizes over chains, so
-// chain direction is immaterial to cost and route correctness.
-QueryPlan InstantiateInternedPlan(const InternedPlan& plan, NodeId from,
-                                  NodeId to, SubqueryTable* specs) {
-  const bool forward = from == plan.from && to == plan.to;
-  TCF_CHECK_MSG(forward || (from == plan.to && to == plan.from),
-                "interned plan endpoints do not match the query");
-  QueryPlan out;
-  out.chains.reserve(plan.num_chains());
-  out.chain_specs.reserve(plan.num_chains());
-  for (size_t c = 0; c < plan.num_chains(); ++c) {
-    if (forward) {
-      StampChain(plan.chain(c), plan.hops(c), from, to, specs, &out);
-    } else {
-      StampChainReversed(plan.chain(c), plan.hops(c), from, to, specs, &out);
+// Plans one (from, to) pair from the cached skeletons of its endpoint
+// fragments. A border node lives in several fragments and every one of
+// them is a valid chain endpoint, so each endpoint-fragment pair
+// contributes its chains. A chain begins in its pair's first fragment and
+// ends in its second, so chains of different pairs never coincide and no
+// chain is taken twice.
+QueryPlan BuildPlan(const Fragmentation& frag, NodeId from, NodeId to,
+                    size_t max_chains, ChainPlanCache* cache,
+                    SubqueryTable* specs) {
+  QueryPlan plan;
+  for (FragmentId fa : frag.FragmentsOfNode(from)) {
+    for (FragmentId fb : frag.FragmentsOfNode(to)) {
+      bool was_hit = false;
+      std::shared_ptr<const PlanSkeleton> skeleton =
+          cache->SkeletonFor(frag, fa, fb, max_chains, &was_hit);
+      (was_hit ? plan.cache_hits : plan.cache_misses) += 1;
+      for (size_t c = 0; c < skeleton->chains.size(); ++c) {
+        StampChain(skeleton->chains[c], skeleton->hops[c], from, to, specs,
+                   &plan);
+      }
     }
   }
-  return out;
+  return plan;
 }
 
 }  // namespace
@@ -170,39 +142,22 @@ ParallelPlanResult PlanBatchInParallel(
       ShardedTable<uint64_t, QueryPlan, PairKeyHash>>(num_shards);
   SubqueryTable specs(num_shards);
   std::atomic<size_t> memo_hits{0};
-  std::atomic<size_t> interned_hits{0};
-  std::atomic<size_t> interned_misses{0};
 
-  // Three layers of reuse keep the coordinator scalable: the per-batch
-  // plan memo interns whole plans by (from, to) — repeats (hot-pair
-  // traffic) skip even spec interning — the cross-batch interned-plan
-  // cache (inside chain_cache) hands back skeleton-relative plans
-  // interned by *earlier* batches so hot pairs skip chain lookup and
-  // dedup entirely, and the sharded spec table interns keyhole subqueries
-  // without a global lock, so identical selections within a query's
-  // chains or across queries are computed once. Plan refs stay
+  // Two layers of reuse keep the coordinator scalable: the per-batch plan
+  // memo interns whole plans by (from, to) — repeats (hot-pair traffic)
+  // skip even spec interning — and the sharded spec table interns keyhole
+  // subqueries without a global lock, so identical selections within a
+  // query's chains or across queries are computed once. Plan refs stay
   // shard-encoded until the table is sealed below.
-  auto build_plan = [&](NodeId from, NodeId to) {
-    bool plan_hit = false;
-    std::shared_ptr<const InternedPlan> interned =
-        chain_cache->PlanFor(frag, from, to, max_chains, &plan_hit);
-    QueryPlan plan = InstantiateInternedPlan(*interned, from, to, &specs);
-    if (plan_hit) {
-      interned_hits.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      interned_misses.fetch_add(1, std::memory_order_relaxed);
-      plan.cache_hits = interned->cache_hits;
-      plan.cache_misses = interned->cache_misses;
-    }
-    return plan;
-  };
   auto plan_range = [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       const auto [from, to] = endpoints[i];
       if (from == to) continue;
       auto interned = out.memo->Intern(
           PairKey(from, to),
-          [&](const uint64_t&) { return build_plan(from, to); });
+          [&](const uint64_t&) {
+            return BuildPlan(frag, from, to, max_chains, chain_cache, &specs);
+          });
       out.plans[i] = interned.value;
       if (!interned.inserted) {
         memo_hits.fetch_add(1, std::memory_order_relaxed);
@@ -227,8 +182,6 @@ ParallelPlanResult PlanBatchInParallel(
     out.cache_misses += plan.cache_misses;
   });
   out.memo_hits = memo_hits.load(std::memory_order_relaxed);
-  out.interned_plan_hits = interned_hits.load(std::memory_order_relaxed);
-  out.interned_plan_misses = interned_misses.load(std::memory_order_relaxed);
   return out;
 }
 

@@ -124,8 +124,7 @@ struct QueryPlan {
   /// chain_specs[c][i]: index into the batch's flat spec vector for hop i
   /// of chain c.
   std::vector<std::vector<size_t>> chain_specs;
-  /// Skeleton-cache accounting for this plan's chain lookups (zero when
-  /// the plan was instantiated from a cached interned plan).
+  /// Skeleton-cache accounting for this plan's chain lookups.
   size_t cache_hits = 0;
   size_t cache_misses = 0;
 };
@@ -142,11 +141,6 @@ struct ParallelPlanResult {
   /// Pairs whose (from, to) plan was already interned — they skipped
   /// chain lookup and subquery interning outright.
   size_t memo_hits = 0;
-  /// Cross-batch interned-plan cache accounting, counted per distinct
-  /// pair planned this batch: a hit instantiated a plan interned by an
-  /// earlier batch; a miss built and published it.
-  size_t interned_plan_hits = 0;
-  size_t interned_plan_misses = 0;
   /// Skeleton-cache accounting summed over the distinct plans.
   size_t cache_hits = 0;
   size_t cache_misses = 0;
@@ -157,11 +151,11 @@ struct ParallelPlanResult {
 /// The one query planner, shared by DsaDatabase (single queries are
 /// batches of one), BatchExecutor, SiteNetwork and BottleneckDsa: plans
 /// every endpoint pair in parallel on `pool` (sequentially when null).
-/// Each distinct pair's plan comes from `chain_cache`'s interned plans
-/// (built through its skeletons on a miss) and is interned into a sharded
-/// memo by (from, to), so repeats skip planning; keyhole subqueries
-/// intern into one SubqueryTable batch-wide, and the table is sealed
-/// with every plan's refs rewritten to flat spec indices. Both tables get
+/// Each distinct pair is planned once from `chain_cache`'s skeletons of
+/// its endpoint-fragment pairs and interned into a sharded memo by
+/// (from, to), so repeats skip planning; keyhole subqueries intern into
+/// one SubqueryTable batch-wide, and the table is sealed with every
+/// plan's refs rewritten to flat spec indices. Both tables get
 /// clamp(endpoints.size(), 1, 64) shards. `chain_cache` must be non-null.
 /// Endpoints must be in range (callers validate); from == to pairs yield
 /// a null plan.

@@ -272,19 +272,11 @@ EpochStats MaintainedDatabase::ApplyEpoch(
   }
 
   if (!stats.caches_reset) {
-    std::vector<bool> endpoint_changed(num_nodes_, false);
-    for (NodeId v = 0; v < num_nodes_; ++v) {
-      endpoint_changed[v] =
-          frag->FragmentsOfNode(v) != old_frag.FragmentsOfNode(v);
-    }
     ChainPlanCache::EpochCarry plan_carry =
-        old_snap.db->plan_cache()->NextEpoch(dirty_fragment, endpoint_changed,
-                                             epoch_id);
+        old_snap.db->plan_cache()->NextEpoch(dirty_fragment, epoch_id);
     carry.plan_cache = std::move(plan_carry.cache);
     stats.skeletons_kept = plan_carry.skeletons_kept;
     stats.skeletons_dropped = plan_carry.skeletons_dropped;
-    stats.plans_kept = plan_carry.plans_kept;
-    stats.plans_dropped = plan_carry.plans_dropped;
   }
 
   std::shared_ptr<const DsaDatabase> db(

@@ -27,10 +27,10 @@
 //     structural — while EpochStats reports the exact post-hoc dirty and
 //     reuse counts.
 //   - *plan-cache succession* — the successor database inherits every
-//     chain-plan and interned-plan entry that provably cannot have
-//     changed (no chain through a dirty fragment, endpoints' fragment
-//     membership intact); entries are invalidated by version succession,
-//     never in place. If the fragmentation-graph adjacency (the
+//     chain skeleton that provably cannot have changed (no chain through a
+//     dirty fragment); skeletons are invalidated by version succession,
+//     never in place, so carry-over is bounded by fragment pairs, not by
+//     read traffic. If the fragmentation-graph adjacency (the
 //     disconnection-set pair set) changed, or fragments were renumbered,
 //     the successor starts cold.
 //
@@ -121,8 +121,8 @@ struct EpochStats {
   // Plan-cache succession accounting (ChainPlanCache::NextEpoch).
   size_t skeletons_kept = 0;
   size_t skeletons_dropped = 0;
-  size_t plans_kept = 0;
-  size_t plans_dropped = 0;
+  size_t plans_kept = 0;     // kept only for perfbench: always 0
+  size_t plans_dropped = 0;  // kept only for perfbench: always 0
 };
 
 class MaintainedDatabase {

@@ -36,15 +36,6 @@ struct DsaOptions {
   /// Capacity of the chain-plan LRU cache (entries are fragment pairs);
   /// must be >= 1 — every query plans through the cache.
   size_t plan_cache_capacity = 4096;
-  /// Capacity of the cross-batch interned-plan LRU cache (entries are
-  /// (from, to) node pairs; plans are skeleton-relative, so they survive
-  /// batch boundaries). 0 disables cross-batch plan interning (the
-  /// skeleton cache still serves every chain lookup). Memory note: resident
-  /// plans pin the skeletons they reference, so on workloads with few
-  /// node-pair repeats (where the cache cannot pay off) this capacity —
-  /// not plan_cache_capacity — is what bounds planner memory; shrink it
-  /// (or disable it) there.
-  size_t interned_plan_cache_capacity = ChainPlanCache::kDefaultPlanCapacity;
 };
 
 /// State a maintenance epoch hands from the outgoing DsaDatabase to its

@@ -4,9 +4,9 @@
 // of single queries from concurrent clients. A QueryService coalesces those
 // arrivals into micro-batches — flush on size or on a time window — and
 // runs each micro-batch through a pluggable backend, so streaming traffic
-// inherits the cross-query subquery deduplication, the interned-plan memo,
-// and the skeleton cache of the batch executor without any client knowing
-// about batching.
+// inherits the cross-query subquery deduplication, the per-batch plan
+// memo, and the skeleton cache of the batch executor without any client
+// knowing about batching.
 //
 // The admission path is *sharded*: submitters are striped by thread
 // affinity over `admission_shards` independent bounded queues (own mutex,

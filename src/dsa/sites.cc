@@ -71,10 +71,8 @@ std::vector<Weight> SiteNetwork::BatchShortestPathCosts(
   // Plan every query in parallel on the coordinator's planner pool,
   // through the exact machinery of the in-process batch executor
   // (PlanBatchInParallel: sharded plan memo + sharded spec table +
-  // skeleton cache + the cross-batch interned-plan cache, so a round that
-  // repeats an earlier round's (from, to) pairs skips planning them) —
-  // one message per distinct (fragment, selection) no matter how many
-  // queries or chains need it.
+  // skeleton cache) — one message per distinct (fragment, selection) no
+  // matter how many queries or chains need it.
   for (const auto& [from, to] : queries) {
     TCF_CHECK(from < num_nodes);
     TCF_CHECK(to < num_nodes);

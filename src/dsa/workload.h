@@ -52,8 +52,7 @@ struct WorkloadSpec {
   /// kHotPair: fraction of hot-set draws emitted REVERSED — (to, from)
   /// instead of (from, to). 0.0 keeps every draw forward (the historical
   /// shape); 0.5 models symmetric traffic (A→B commutes paired with
-  /// B→A), the case the plan cache's unordered-pair aliasing serves from
-  /// one entry.
+  /// B→A).
   double hot_reverse_fraction = 0.0;
 
   /// Streaming arrivals (GenerateArrivalTimes): process shape and mean

@@ -80,7 +80,9 @@ BondEnergyOrdering PlaceFromSeed(const BitMatrix& m, BondCache* bonds,
     }
     return e;
   };
-  bool improved = true;
+  // A single column has no other position to move to, and re-inserting it
+  // would read the front of an empty ordering.
+  bool improved = placed.size() >= 2;
   for (int pass = 0; pass < 8 && improved; ++pass) {
     improved = false;
     // 2-opt segment reversals. Maximizing the sum of adjacent bonds is a

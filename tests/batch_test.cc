@@ -317,12 +317,11 @@ TEST(BatchPlanCache, ConcurrentBatchesRacingOnTinyCache) {
   EXPECT_LE(cache_stats.entries, 1u);
 }
 
-TEST(BatchPlanCache, SecondIdenticalBatchHitsInternedPlans) {
-  // The cross-batch interned-plan cache: plans are keyed by (from, to)
-  // node pair in skeleton-relative form, so they outlive the first
-  // batch's spec-table sealing. A repeated batch must hit ≥90% (in fact
-  // 100% here: every distinct pair was interned by batch one), return
-  // identical answers, and perform ZERO skeleton-cache lookups.
+TEST(BatchPlanCache, RepeatedBatchFindsEverySkeletonWarm) {
+  // Plans live for one batch; what a repeated batch reuses is the
+  // skeleton cache. It must answer and dedup exactly like the first batch
+  // while expanding no skeleton again, and it plans every distinct pair
+  // afresh (interned_plan_hits stays 0 for perfbench's hit rate).
   PlanCacheFixture fx;
   const std::vector<Query> queries = fx.MakeQueries(200);
 
@@ -330,43 +329,26 @@ TEST(BatchPlanCache, SecondIdenticalBatchHitsInternedPlans) {
   BatchExecutor executor(&db);
 
   const BatchResult first = executor.Execute(queries);
-  // One cache consult per distinct ordered pair. The cache aliases
-  // unordered pairs, so a cold cache can still score hits within the
-  // first batch when the workload holds both orientations of a pair.
-  EXPECT_EQ(first.stats.interned_plan_hits + first.stats.interned_plan_misses,
-            first.stats.plan_memo_misses);
-
+  EXPECT_GT(first.stats.plan_cache_misses, 0u);
   const BatchResult second = executor.Execute(queries);
   ExpectSameAnswers(second, first);
-  EXPECT_EQ(second.stats.interned_plan_misses, 0u);
-  EXPECT_EQ(second.stats.interned_plan_hits,
-            second.stats.plan_memo_misses);
-  EXPECT_GE(second.stats.InternedPlanHitRate(), 0.9);
-  // A warm plan instantiates without touching the skeleton cache.
-  EXPECT_EQ(second.stats.plan_cache_hits, 0u);
-  EXPECT_EQ(second.stats.plan_cache_misses, 0u);
-  // Dedup within the batch is unaffected by where the plans came from.
   EXPECT_EQ(second.stats.subqueries_requested,
             first.stats.subqueries_requested);
   EXPECT_EQ(second.stats.subqueries_executed,
             first.stats.subqueries_executed);
+  EXPECT_EQ(second.stats.plan_memo_hits, first.stats.plan_memo_hits);
+  EXPECT_EQ(second.stats.plan_memo_misses, first.stats.plan_memo_misses);
 
-  // The cache's own accounting agrees with the per-batch counters.
-  const LruCacheStats plan_stats = db.plan_cache()->PlanStats();
-  EXPECT_EQ(plan_stats.hits,
-            first.stats.interned_plan_hits + second.stats.interned_plan_hits);
-  EXPECT_EQ(plan_stats.misses, first.stats.interned_plan_misses +
-                                   second.stats.interned_plan_misses);
+  EXPECT_EQ(second.stats.plan_cache_misses, 0u);
+  EXPECT_GT(second.stats.plan_cache_hits, 0u);
+  EXPECT_EQ(second.stats.interned_plan_hits, 0u);
+  EXPECT_EQ(second.stats.interned_plan_misses, second.stats.plan_memo_misses);
 }
 
-TEST(BatchPlanCache, ReversedPairsAliasOntoOneInternedPlan) {
-  // Unordered-pair aliasing: after a batch interned its (from, to) plans,
-  // the element-wise REVERSED batch hits the same entries — zero new
-  // builds — and the reversed instantiation answers exactly like a fresh
-  // database planning the reversed direction from scratch (disconnection
-  // sets and fragment adjacency are symmetric, so a reversed chain is a
-  // valid plan, and min-over-chains assembly makes chain order
-  // immaterial).
+TEST(BatchPlanCache, ReversedPairsOnAWarmDatabaseAnswerLikeAFreshOne) {
+  // A database warmed by the forward direction plans the reversed pairs
+  // through its own (reverse) skeletons and must answer exactly like a
+  // fresh database, chain count included.
   PlanCacheFixture fx;
   const std::vector<Query> forward = fx.MakeQueries(200);
   std::vector<Query> reversed = forward;
@@ -374,61 +356,17 @@ TEST(BatchPlanCache, ReversedPairsAliasOntoOneInternedPlan) {
 
   DsaDatabase db(&*fx.frag);
   BatchExecutor executor(&db);
-  executor.Execute(forward);  // warm the cache with the forward direction
-
-  const BatchResult aliased = executor.Execute(reversed);
-  EXPECT_EQ(aliased.stats.interned_plan_misses, 0u);
-  EXPECT_EQ(aliased.stats.interned_plan_hits,
-            aliased.stats.plan_memo_misses);
+  executor.Execute(forward);
+  const BatchResult warm = executor.Execute(reversed);
 
   DsaDatabase scratch_db(&*fx.frag);
   const BatchResult want = BatchExecutor(&scratch_db).Execute(reversed);
-  ExpectSameAnswers(aliased, want);
-  for (size_t i = 0; i < aliased.answers.size(); ++i) {
-    EXPECT_EQ(aliased.answers[i].answer.chains_considered,
+  ExpectSameAnswers(warm, want);
+  for (size_t i = 0; i < warm.answers.size(); ++i) {
+    EXPECT_EQ(warm.answers[i].answer.chains_considered,
               want.answers[i].answer.chains_considered)
         << "query " << i;
   }
-}
-
-TEST(BatchPlanCache, SingleQueriesWarmTheInternedPlanCacheForBatches) {
-  // Plans interned by the single-query path are hit by a later batch and
-  // vice versa — the cache sits under both entry points.
-  PlanCacheFixture fx;
-  const std::vector<Query> queries = fx.MakeQueries(50);
-
-  DsaDatabase db(&*fx.frag);
-  for (const Query& q : queries) db.ShortestPath(q.from, q.to);
-
-  BatchExecutor executor(&db);
-  const BatchResult result = executor.Execute(queries);
-  EXPECT_EQ(result.stats.interned_plan_misses, 0u);
-  EXPECT_GE(result.stats.InternedPlanHitRate(), 0.9);
-}
-
-TEST(BatchPlanCache, DisabledInternedPlanCacheStillAnswersCorrectly) {
-  PlanCacheFixture fx;
-  const std::vector<Query> queries = fx.MakeQueries(200);
-
-  DsaDatabase reference_db(&*fx.frag);
-  const BatchResult want = BatchExecutor(&reference_db).Execute(queries);
-
-  DsaOptions opts;
-  opts.interned_plan_cache_capacity = 0;  // skeleton cache only
-  DsaDatabase db(&*fx.frag, opts);
-  BatchExecutor executor(&db);
-  const BatchResult first = executor.Execute(queries);
-  const BatchResult second = executor.Execute(queries);
-  ExpectSameAnswers(first, want);
-  ExpectSameAnswers(second, want);
-  // Nothing survives the batch boundary: the repeat batch rebuilds every
-  // distinct pair (counted as misses) and re-consults the skeleton cache.
-  EXPECT_EQ(second.stats.interned_plan_hits, 0u);
-  EXPECT_EQ(second.stats.interned_plan_misses,
-            second.stats.plan_memo_misses);
-  EXPECT_GT(second.stats.plan_cache_hits, 0u);
-  EXPECT_EQ(db.plan_cache()->PlanStats().hits, 0u);
-  EXPECT_EQ(db.plan_cache()->PlanStats().misses, 0u);
 }
 
 TEST(BatchExecutor, DisconnectedPairsStayUnconnected) {

@@ -308,12 +308,11 @@ TEST(Concurrency, ShardedAdmissionHammerAcrossShardCounts) {
 }
 
 TEST(Concurrency, CrossBatchPlanCacheUnderConcurrentBatches) {
-  // Concurrent batches racing on a COLD cross-batch interned-plan cache:
-  // duplicate builds of the same (from, to) plan are allowed (the loser's
-  // plan is dropped), but every answer must be right and the accounting
-  // must stay consistent: across all batches, interned-plan hits + misses
-  // equal the distinct pairs planned per batch summed, and the cache's
-  // cumulative counters equal the per-batch sums.
+  // Concurrent batches racing on a COLD skeleton cache: duplicate
+  // expansions of the same fragment pair are allowed, but every answer
+  // must be right and the accounting must stay consistent: the cache's
+  // cumulative counters equal the per-batch skeleton hits and misses
+  // summed over all batches.
   Fixture fx(108, /*cyclic=*/true);
   const Expected expected = Precompute(*fx.db, 80, 15);
 
@@ -347,15 +346,14 @@ TEST(Concurrency, CrossBatchPlanCacheUnderConcurrentBatches) {
 
   size_t batch_hits = 0, batch_misses = 0;
   for (const BatchStats& s : stats) {
-    EXPECT_EQ(s.interned_plan_hits + s.interned_plan_misses,
-              s.plan_memo_misses);
-    batch_hits += s.interned_plan_hits;
-    batch_misses += s.interned_plan_misses;
+    batch_hits += s.plan_cache_hits;
+    batch_misses += s.plan_cache_misses;
   }
-  const LruCacheStats cache_stats = hammer_db.plan_cache()->PlanStats();
+  const LruCacheStats cache_stats = hammer_db.plan_cache()->Stats();
   EXPECT_EQ(cache_stats.hits, batch_hits);
   EXPECT_EQ(cache_stats.misses, batch_misses);
-  // After the first full round every pair is interned; most lookups hit.
+  // After the first full round every fragment pair is cached; most
+  // lookups hit.
   EXPECT_GT(batch_hits, batch_misses);
 }
 
@@ -417,8 +415,8 @@ TEST(Concurrency, PlanCacheUnderContention) {
       for (size_t round = 0; round < 50; ++round) {
         const FragmentId a = static_cast<FragmentId>((round + t) % n);
         const FragmentId b = static_cast<FragmentId>((round * 3 + t) % n);
-        auto chains = cache.ChainsBetween(frag, a, b, 64);
-        if (*chains != FindChains(frag, a, b, 64)) ++mismatches;
+        auto skeleton = cache.SkeletonFor(frag, a, b, 64);
+        if (skeleton->chains != FindChains(frag, a, b, 64)) ++mismatches;
       }
     });
   }

@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <set>
+#include <tuple>
 
 #include "dsa/chains.h"
 #include "dsa/complementary.h"
@@ -329,12 +330,12 @@ TEST(DsaDatabase, WithoutComplementaryOverestimatesSideBranchDetours) {
 TEST(ChainPlanCache, CachesByFragmentPair) {
   ChainFixture fx;
   ChainPlanCache cache(16);
-  auto first = cache.ChainsBetween(*fx.frag, 0, 2, 64);
-  ASSERT_EQ(first->size(), 1u);
-  EXPECT_EQ(first->front(), (FragmentChain{0, 1, 2}));
+  auto first = cache.SkeletonFor(*fx.frag, 0, 2, 64);
+  ASSERT_EQ(first->chains.size(), 1u);
+  EXPECT_EQ(first->chains.front(), (FragmentChain{0, 1, 2}));
 
   bool was_hit = false;
-  auto second = cache.ChainsBetween(*fx.frag, 0, 2, 64, &was_hit);
+  auto second = cache.SkeletonFor(*fx.frag, 0, 2, 64, &was_hit);
   EXPECT_TRUE(was_hit);
   EXPECT_EQ(first.get(), second.get());  // same shared entry
 
@@ -347,24 +348,59 @@ TEST(ChainPlanCache, CachesByFragmentPair) {
 TEST(ChainPlanCache, DirectionMatters) {
   ChainFixture fx;
   ChainPlanCache cache(16);
-  auto forward = cache.ChainsBetween(*fx.frag, 0, 2, 64);
+  auto forward = cache.SkeletonFor(*fx.frag, 0, 2, 64);
   bool was_hit = true;
-  auto backward = cache.ChainsBetween(*fx.frag, 2, 0, 64, &was_hit);
+  auto backward = cache.SkeletonFor(*fx.frag, 2, 0, 64, &was_hit);
   EXPECT_FALSE(was_hit);  // (2, 0) is a distinct key
-  EXPECT_EQ(forward->front(), (FragmentChain{0, 1, 2}));
-  EXPECT_EQ(backward->front(), (FragmentChain{2, 1, 0}));
+  EXPECT_EQ(forward->chains.front(), (FragmentChain{0, 1, 2}));
+  EXPECT_EQ(backward->chains.front(), (FragmentChain{2, 1, 0}));
 }
 
 TEST(ChainPlanCache, EvictsLeastRecentlyUsed) {
   ChainFixture fx;
   ChainPlanCache cache(2);
-  cache.ChainsBetween(*fx.frag, 0, 1, 64);
-  cache.ChainsBetween(*fx.frag, 1, 2, 64);
-  cache.ChainsBetween(*fx.frag, 0, 2, 64);  // evicts (0, 1)
+  cache.SkeletonFor(*fx.frag, 0, 1, 64);
+  cache.SkeletonFor(*fx.frag, 1, 2, 64);
+  cache.SkeletonFor(*fx.frag, 0, 2, 64);  // evicts (0, 1)
   bool was_hit = true;
-  cache.ChainsBetween(*fx.frag, 0, 1, 64, &was_hit);
+  cache.SkeletonFor(*fx.frag, 0, 1, 64, &was_hit);
   EXPECT_FALSE(was_hit);
   EXPECT_EQ(cache.Stats().evictions, 2u);
+}
+
+TEST(ChainPlanCache, BorderEndpointTakesEveryDistinctChainOnce) {
+  // A ring of four fragments: F0={0,1,2} F1={2,3,4} F2={4,5,6}
+  // F3={6,7,0}. Node 2 is a border node of F0 and F1, so a query from it
+  // plans over every endpoint-fragment pair and must consider each
+  // distinct chain of their skeletons exactly once.
+  GraphBuilder b(8);
+  for (NodeId v = 0; v < 8; ++v) b.AddSymmetricEdge(v, (v + 1) % 8, 1.0);
+  Graph g = b.Build();
+  std::vector<FragmentId> owner(16);
+  for (EdgeId e = 0; e < 16; ++e) owner[e] = e / 4;
+  Fragmentation frag(&g, owner, 4);
+  ASSERT_EQ(frag.FragmentsOfNode(2).size(), 2u);
+
+  DsaDatabase db(&frag);
+  ChainPlanCache cache;
+  // 5 lives in F2 alone; 6 is a border node of F2 and F3.
+  for (const auto& [to, want_chains, want_cost] :
+       {std::tuple<NodeId, size_t, Weight>{5, 4, 3.0},
+        std::tuple<NodeId, size_t, Weight>{6, 8, 4.0}}) {
+    std::set<FragmentChain> distinct;
+    for (FragmentId fa : frag.FragmentsOfNode(2)) {
+      for (FragmentId fb : frag.FragmentsOfNode(to)) {
+        for (const FragmentChain& chain :
+             cache.SkeletonFor(frag, fa, fb, kDefaultMaxChains)->chains) {
+          distinct.insert(chain);
+        }
+      }
+    }
+    EXPECT_EQ(distinct.size(), want_chains) << "2->" << to;
+    const QueryAnswer answer = db.ShortestPath(2, to);
+    EXPECT_EQ(answer.chains_considered, distinct.size()) << "2->" << to;
+    EXPECT_DOUBLE_EQ(answer.cost, want_cost) << "2->" << to;
+  }
 }
 
 TEST(ChainPlanCache, DsaDatabaseWiresCacheIntoQueries) {

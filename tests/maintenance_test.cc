@@ -212,10 +212,9 @@ TEST(MaintenanceEpoch, ReweightOnlyEpochIsStructureFree) {
   EXPECT_NEAR(mdb.db().ShortestPath(0, 2).cost, 7.0, 1e-9);
 }
 
-// The tentpole's precision claim: an epoch invalidates exactly the cached
-// plans whose chains touch a dirty fragment; plans over untouched chains
-// survive into the successor database and keep serving as cross-batch
-// interned-plan hits.
+// An epoch invalidates exactly the cached skeletons whose chains touch a
+// dirty fragment; skeletons over untouched chains survive into the
+// successor database and keep serving as skeleton-cache hits.
 TEST(MaintenanceEpoch, CacheInvalidationIsChainPrecise) {
   // A 4-fragment path: F0={0,1} F1={1,2,3} F2={3,4,5} F3={5,6,7}.
   GraphBuilder b(8);
@@ -229,17 +228,18 @@ TEST(MaintenanceEpoch, CacheInvalidationIsChainPrecise) {
   MaintainedDatabase mdb(b.Build(),
                          {0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3}, 4);
 
-  // Warm the interned-plan cache with one pair per end of the path: 0->2
-  // plans over chain [F0, F1], 4->7 over chain [F2, F3].
+  // Warm the skeleton cache with one pair per end of the path: 0->2
+  // plans over the (F0, F1) skeleton, 4->7 over (F2, F3).
   const std::vector<Query> queries = {{0, 2, QueryKind::kCost},
                                       {4, 7, QueryKind::kCost}};
   {
     BatchExecutor executor(&mdb.db());
     const BatchResult cold = executor.Execute(queries);
-    EXPECT_EQ(cold.stats.interned_plan_misses, 2u);
+    EXPECT_EQ(cold.stats.plan_cache_hits, 0u);
+    EXPECT_EQ(cold.stats.plan_cache_misses, 2u);
     const BatchResult warm = executor.Execute(queries);
-    EXPECT_EQ(warm.stats.interned_plan_hits, 2u);
-    EXPECT_EQ(warm.stats.interned_plan_misses, 0u);
+    EXPECT_EQ(warm.stats.plan_cache_hits, 2u);
+    EXPECT_EQ(warm.stats.plan_cache_misses, 0u);
   }
 
   // Dirty ONLY F3: pull node 4 (previously F2-only) into F3 via an edge
@@ -252,20 +252,49 @@ TEST(MaintenanceEpoch, CacheInvalidationIsChainPrecise) {
   EXPECT_TRUE(stats.structural);
   EXPECT_FALSE(stats.renumbered);
   EXPECT_FALSE(stats.caches_reset);
-  // The [F0, F1] entries survive; the [F2, F3] entries die with F3 (the
-  // 4->7 plan is also endpoint-dirty: node 4 changed fragment sets).
-  EXPECT_GE(stats.skeletons_kept, 1u);
-  EXPECT_GE(stats.skeletons_dropped, 1u);
-  EXPECT_EQ(stats.plans_kept, 1u);
-  EXPECT_EQ(stats.plans_dropped, 1u);
+  // (F0, F1) survives; (F2, F3) dies with F3.
+  EXPECT_EQ(stats.skeletons_kept, 1u);
+  EXPECT_EQ(stats.skeletons_dropped, 1u);
+  EXPECT_EQ(stats.plans_kept, 0u);
+  EXPECT_EQ(stats.plans_dropped, 0u);
 
-  // Differential re-run on the successor: the untouched pair is still an
-  // interned-plan hit, the dirty pair re-plans — and both answers stay
-  // oracle-exact.
+  // Differential re-run on the successor: 0->2 hits the surviving
+  // skeleton; node 4 now lives in F2 and F3, so 4->7 expands (F2, F3)
+  // and (F3, F3) afresh — and both answers stay oracle-exact.
   BatchExecutor executor(&mdb.db());
   const BatchResult after = executor.Execute(queries);
-  EXPECT_EQ(after.stats.interned_plan_hits, 1u);
-  EXPECT_EQ(after.stats.interned_plan_misses, 1u);
+  EXPECT_EQ(after.stats.plan_cache_hits, 1u);
+  EXPECT_EQ(after.stats.plan_cache_misses, 2u);
+  ExpectMatchesOracle(mdb);
+}
+
+// Epoch carry-over is bounded by fragment pairs, not by read traffic: a
+// database that has answered every node pair hands its successor at most
+// one skeleton per fragment pair, and no per-node-pair state at all.
+TEST(MaintenanceEpoch, CarryOverIsBoundedByFragmentPairs) {
+  TransportationGraphOptions gopts;
+  gopts.num_clusters = 3;
+  gopts.nodes_per_cluster = 8;
+  gopts.target_edges_per_cluster = 28;
+  Rng rng(5);
+  auto tg = GenerateTransportationGraph(gopts, &rng);
+  CenterBasedOptions copts;
+  copts.num_fragments = 3;
+  Fragmentation frag = CenterBasedFragmentation(tg.graph, copts);
+  MaintainedDatabase mdb = MaintainedDatabase::FromFragmentation(frag);
+  const Edge reweighted = tg.graph.edges().front();
+  const size_t num_fragments = mdb.fragmentation().NumFragments();
+
+  ExpectMatchesOracle(mdb);  // answers every node pair
+  const EpochStats stats = mdb.ApplyEpoch({EdgeUpdate::Reweight(
+      reweighted.src, reweighted.dst, reweighted.weight + 1.0)});
+  ASSERT_TRUE(stats.published);
+  EXPECT_FALSE(stats.caches_reset);
+  EXPECT_EQ(stats.plans_kept, 0u);
+  EXPECT_EQ(stats.plans_dropped, 0u);
+  EXPECT_GT(stats.skeletons_kept, 0u);
+  EXPECT_LE(stats.skeletons_kept + stats.skeletons_dropped,
+            num_fragments * num_fragments);
   ExpectMatchesOracle(mdb);
 }
 
