@@ -1,9 +1,11 @@
 #include "dsa/local_query.h"
 
-#include <unordered_map>
+#include <algorithm>
+#include <functional>
+#include <string>
 #include <utility>
+#include <vector>
 
-#include "graph/algorithms.h"
 #include "graph/builder.h"
 
 namespace tcf {
@@ -76,30 +78,176 @@ LocalQueryResult RunRelational(const Fragmentation& frag,
   return result;
 }
 
-LocalQueryResult RunDijkstra(const Fragmentation& frag,
-                             const ComplementaryInfo* complementary,
-                             const LocalQuerySpec& spec) {
-  LocalQueryResult result;
-  Result<Graph> built = BuildAugmentedFragment(frag, complementary,
-                                               spec.fragment);
-  if (!built.ok()) {
-    result.status = built.status();
-    return result;
-  }
-  const Graph augmented = std::move(built).value();
-  for (NodeId s : spec.sources) {
-    ShortestPaths sp = Dijkstra(augmented, s);
-    size_t settled = 0;
-    for (Weight d : sp.distance) {
-      if (d != kInfinity) ++settled;
+/// Per-thread search state, reused by every subquery the thread runs and
+/// grown to the largest fragment it has searched. Between searches `dist`
+/// is kInfinity except at the ids in `touched`, and `is_far` is set
+/// exactly at the ids in `far`; Clear() restores the all-cold state.
+struct SearchScratch {
+  std::vector<Weight> dist;
+  std::vector<uint32_t> touched;
+  std::vector<uint8_t> is_far;
+  std::vector<uint32_t> near;  // local ids the searches start from
+  std::vector<uint32_t> far;   // local ids they must settle
+  std::vector<std::pair<Weight, uint32_t>> heap;
+  std::vector<LocalArc> shortcut_arcs;
+  LocalCsr overlay;
+  // Global -> local ids of the current subquery's fragment, one entry per
+  // graph node: local_of[v] holds iff local_stamp[v] == stamp, so a
+  // subquery writes only its own fragment's entries. A wide-DS fragment
+  // streams thousands of shortcut tuples per subquery; binary searches of
+  // FragmentNodes cost most of such a subquery.
+  std::vector<NodeId> local_of;
+  std::vector<uint64_t> local_stamp;
+  uint64_t stamp = 0;
+
+  void MapFragment(const std::vector<NodeId>& nodes, size_t num_nodes) {
+    if (local_of.size() < num_nodes) {
+      local_of.resize(num_nodes);
+      local_stamp.resize(num_nodes, 0);
     }
-    result.stats.iterations += settled;
-    for (NodeId t : spec.targets) {
-      if (t == s) continue;
-      if (sp.distance[t] != kInfinity) {
-        result.paths.Add(s, t, sp.distance[t]);
+    ++stamp;
+    for (NodeId i = 0; i < nodes.size(); ++i) {
+      local_of[nodes[i]] = i;
+      local_stamp[nodes[i]] = stamp;
+    }
+  }
+  /// Local id of global node `v`, or kInvalidNode outside the fragment.
+  NodeId LocalOf(NodeId v) const {
+    return v < local_of.size() && local_stamp[v] == stamp ? local_of[v]
+                                                           : kInvalidNode;
+  }
+
+  void ResetDistances() {
+    for (uint32_t v : touched) dist[v] = kInfinity;
+    touched.clear();
+  }
+  void Clear() {
+    ResetDistances();
+    for (uint32_t v : far) is_far[v] = 0;
+    near.clear();
+    far.clear();
+  }
+};
+
+SearchScratch& ThreadScratch() {
+  thread_local SearchScratch scratch;
+  return scratch;
+}
+
+void Relax(const LocalCsr& csr, uint32_t v, Weight d, SearchScratch& s) {
+  for (uint32_t i = csr.offsets[v]; i < csr.offsets[v + 1]; ++i) {
+    const uint32_t w = csr.heads[i];
+    const Weight nd = d + csr.weights[i];
+    if (nd < s.dist[w]) {
+      if (s.dist[w] == kInfinity) s.touched.push_back(w);
+      s.dist[w] = nd;
+      s.heap.emplace_back(nd, w);
+      std::push_heap(s.heap.begin(), s.heap.end(), std::greater<>());
+    }
+  }
+}
+
+/// Dijkstra from local node `origin` over `graph` plus the shortcut
+/// `overlay` (null without complementary info), both in the search's
+/// direction. Ties pop in local-id order, which is global-id order. Stops
+/// as soon as every far-side node is settled; returns the number of nodes
+/// settled.
+size_t Search(const LocalCsr& graph, const LocalCsr* overlay,
+              uint32_t origin, SearchScratch& s) {
+  s.dist[origin] = 0.0;
+  s.touched.push_back(origin);
+  s.heap.clear();
+  s.heap.emplace_back(0.0, origin);
+  size_t settled = 0;
+  size_t far_left = s.far.size();
+  while (!s.heap.empty()) {
+    std::pop_heap(s.heap.begin(), s.heap.end(), std::greater<>());
+    const auto [d, v] = s.heap.back();
+    s.heap.pop_back();
+    if (d > s.dist[v]) continue;  // stale entry
+    ++settled;
+    if (s.is_far[v] && --far_left == 0) break;
+    Relax(graph, v, d, s);
+    if (overlay != nullptr) Relax(*overlay, v, d, s);
+  }
+  return settled;
+}
+
+/// The Dijkstra engine: one search per node of the smaller keyhole side,
+/// on the fragment's local graph plus its shortcut relation streamed into
+/// a per-thread overlay (resident and paged stores alike, so a paged
+/// subquery pins only this fragment's extent, only while it is copied).
+LocalQueryResult RunLocalSearch(const Fragmentation& frag,
+                                const ComplementaryInfo* complementary,
+                                const LocalQuerySpec& spec) {
+  LocalQueryResult result;
+  const FragmentId f = spec.fragment;
+  const std::vector<NodeId>& nodes = frag.FragmentNodes(f);
+  const size_t n = nodes.size();
+  SearchScratch& s = ThreadScratch();
+  s.Clear();
+  if (s.dist.size() < n) {
+    s.dist.resize(n, kInfinity);
+    s.is_far.resize(n, 0);
+  }
+  s.MapFragment(nodes, frag.graph().NumNodes());
+
+  // Nodes outside the fragment reach nothing inside it.
+  auto to_local = [&](const NodeSet& ids, std::vector<uint32_t>* out) {
+    for (NodeId v : ids) {
+      const NodeId local = s.LocalOf(v);
+      if (local != kInvalidNode) out->push_back(local);
+    }
+  };
+  // Search from the smaller side: forward from each source, or backward
+  // from each target when there are fewer targets.
+  const bool backward = spec.targets.size() < spec.sources.size();
+  to_local(backward ? spec.targets : spec.sources, &s.near);
+  to_local(backward ? spec.sources : spec.targets, &s.far);
+  if (s.near.empty() || s.far.empty()) return result;
+
+  const LocalGraph& local = frag.LocalGraphOf(f);
+  const LocalCsr* overlay = nullptr;
+  if (complementary != nullptr) {
+    s.shortcut_arcs.clear();
+    size_t foreign = 0;
+    const Status read = complementary->ForFragment(f).ForEach(
+        [&](const PathTuple& t) {
+          const NodeId a = s.LocalOf(t.src);
+          const NodeId b = s.LocalOf(t.dst);
+          if (a == kInvalidNode || b == kInvalidNode) {
+            ++foreign;
+            return;
+          }
+          s.shortcut_arcs.push_back(LocalArc{a, b, t.cost});
+        });
+    if (!read.ok()) {
+      result.status = read;
+      return result;
+    }
+    if (foreign > 0) {
+      result.status = Status::InvalidArgument(
+          "fragment " + std::to_string(f) + " shortcut relation has " +
+          std::to_string(foreign) + " tuples joining nodes outside it");
+      return result;
+    }
+    BuildLocalCsr(n, s.shortcut_arcs, backward, &s.overlay);
+    overlay = &s.overlay;
+  }
+
+  for (uint32_t v : s.far) s.is_far[v] = 1;
+  const LocalCsr& graph = backward ? local.reverse : local.forward;
+  for (uint32_t origin : s.near) {
+    result.stats.iterations += Search(graph, overlay, origin, s);
+    for (uint32_t v : s.far) {
+      if (v == origin || s.dist[v] == kInfinity) continue;
+      if (backward) {
+        result.paths.Add(nodes[v], nodes[origin], s.dist[v]);
+      } else {
+        result.paths.Add(nodes[origin], nodes[v], s.dist[v]);
       }
     }
+    s.ResetDistances();
   }
   return result;
 }
@@ -122,7 +270,7 @@ LocalQueryResult RunLocalQuery(const Fragmentation& frag,
       result = RunRelational(frag, complementary, spec, TcAlgorithm::kSmart);
       break;
     case LocalEngine::kDijkstra:
-      result = RunDijkstra(frag, complementary, spec);
+      result = RunLocalSearch(frag, complementary, spec);
       break;
   }
   // A failed subquery stays failed: no post-processing can repair a

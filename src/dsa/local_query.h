@@ -15,6 +15,19 @@
 //     paper's database setting, with full workload statistics);
 //   - the Dijkstra engine runs graph search on the augmented fragment
 //     (the "any suitable single-processor algorithm may be chosen" remark).
+//     Its cost is O(fragment), not O(graph): it searches the fragment's
+//     LocalGraph (Fragmentation::LocalGraphOf, dense local ids, built once
+//     per snapshot) plus the fragment's shortcut relation, which every
+//     subquery streams into a per-thread overlay in local ids — resident
+//     and paged stores alike, so a paged database's memory budget is
+//     unchanged (nothing is cached outside the buffer pool). It searches
+//     from the smaller keyhole side: forward from each source, or backward
+//     from each target when there are fewer targets than sources. Each
+//     search stops as soon as every node on the far side is settled. Its
+//     distance, heap and overlay arrays are per-thread scratch sized to
+//     the largest fragment the thread has searched; global ids become
+//     local through a per-thread map with one entry per graph node, of
+//     which a subquery writes only its fragment's.
 #pragma once
 
 #include "dsa/complementary.h"
@@ -40,8 +53,10 @@ struct LocalQueryResult {
   /// self-tuples for nodes in sources ∩ targets (a chain may pass through
   /// a fragment at a single shared node).
   Relation paths;
-  /// Workload statistics (relational engines; Dijkstra fills iterations
-  /// with the number of settled nodes as a comparable work proxy).
+  /// Workload statistics. The relational engines fill them all; Dijkstra
+  /// fills only `iterations`, with the number of nodes its searches
+  /// settled before they stopped (summed over its searches), and
+  /// `result_size`.
   TcStats stats;
   /// OK unless reading the (paged) shortcut relation failed; on failure
   /// `paths` is incomplete and the query using this result must fail too.
@@ -50,15 +65,19 @@ struct LocalQueryResult {
 
 /// Runs one local query. If `complementary` is null the fragment is *not*
 /// augmented — the ablation showing why footnote 3's precomputation is
-/// needed for correctness.
+/// needed for correctness. Sources and targets outside the fragment reach
+/// nothing in it; the only tuple they can yield is the zero-cost
+/// pass-through of a node that is both a source and a target.
 LocalQueryResult RunLocalQuery(const Fragmentation& frag,
                                const ComplementaryInfo* complementary,
                                const LocalQuerySpec& spec,
                                LocalEngine engine = LocalEngine::kDijkstra);
 
 /// The fragment as a standalone graph over the global node-id space,
-/// augmented with the fragment's shortcut relation. Edge ids below
-/// `*num_real_edges_out` (if non-null) are fragment edges, in
+/// augmented with the fragment's shortcut relation — for route
+/// re-expansion and the widest-path pipeline, which need edge ids; the
+/// Dijkstra engine searches the fragment's LocalGraph instead. Edge ids
+/// below `*num_real_edges_out` (if non-null) are fragment edges, in
 /// FragmentEdges order; ids at or above it are shortcut edges — route
 /// reconstruction uses this split to know which hops must be expanded via
 /// the complementary witnesses. Fails (instead of returning a partial

@@ -151,6 +151,8 @@ EpochStats MaintainedDatabase::ApplyEpoch(
   ComplementaryDelta delta;
   bool structural = false;
   for (const EdgeUpdate& u : updates) {
+    TCF_CHECK_MSG(u.HasValidWeight(),
+                  "update weights must be finite and non-negative");
     switch (u.kind) {
       case EdgeUpdate::Kind::kInsert: {
         TCF_CHECK(u.src < num_nodes_ && u.dst < num_nodes_);

@@ -53,6 +53,7 @@
 #pragma once
 
 #include <atomic>
+#include <cmath>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -84,6 +85,12 @@ struct EdgeUpdate {
   }
   static EdgeUpdate Reweight(NodeId src, NodeId dst, Weight new_weight) {
     return EdgeUpdate{Kind::kReweight, src, dst, new_weight, std::nullopt};
+  }
+
+  /// Inserts and reweights need a finite, non-negative weight — the rule
+  /// OpenDatabase applies to stored weights; deletes carry none.
+  bool HasValidWeight() const {
+    return kind == Kind::kDelete || (std::isfinite(weight) && weight >= 0.0);
   }
 };
 
@@ -157,7 +164,8 @@ class MaintainedDatabase {
   /// Applies `updates` in order as ONE maintenance epoch and publishes the
   /// successor snapshot (unless every op was a no-op, in which case nothing
   /// is published and `published` is false). Serialized internally; safe
-  /// from any thread. Node ids must exist (checked).
+  /// from any thread. Node ids must exist, and insert and reweight weights
+  /// must be finite and non-negative (both checked).
   EpochStats ApplyEpoch(const std::vector<EdgeUpdate>& updates);
 
   // Legacy single-op epochs --------------------------------------------

@@ -289,6 +289,12 @@ std::future<uint64_t> QueryService::SubmitUpdate(EdgeUpdate update) {
         std::out_of_range("update endpoint out of range")));
     return future;
   }
+  if (!update.HasValidWeight()) {
+    pending.promise.set_exception(std::make_exception_ptr(
+        std::invalid_argument(
+            "update weight must be finite and non-negative")));
+    return future;
+  }
 
   {
     std::lock_guard<std::mutex> lock(update_mutex_);

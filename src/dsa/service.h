@@ -324,7 +324,9 @@ class QueryService {
   /// afterwards executes on that epoch or later (see the header comment
   /// for why this holds under concurrent flush workers). Carries
   /// std::runtime_error if the backend has no update support or the
-  /// service is shut down, std::out_of_range for unknown node ids. The
+  /// service is shut down, std::out_of_range for unknown node ids, and
+  /// std::invalid_argument for an insert or reweight whose weight is
+  /// negative or not finite (the epoch does not advance). The
   /// update queue is unbounded — updates are expected to be orders of
   /// magnitude rarer than queries (the paper's amortization premise).
   std::future<uint64_t> SubmitUpdate(EdgeUpdate update);

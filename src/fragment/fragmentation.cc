@@ -111,6 +111,7 @@ Fragmentation::Fragmentation(const Graph* graph,
                 ? num_frag_edges + static_cast<size_t>(num_comps) - nf
                 : 0;
   loosely_connected_ = (cycles_ == 0);
+  local_graphs_ = LocalGraphCache(nf);
 }
 
 const DisconnectionSet* Fragmentation::FindDisconnectionSet(
@@ -135,6 +136,73 @@ Graph Fragmentation::FragmentSubgraph(FragmentId f) const {
     builder.AddEdge(edge.src, edge.dst, edge.weight);
   }
   return builder.Build();
+}
+
+void BuildLocalCsr(size_t num_nodes, std::span<const LocalArc> arcs,
+                   bool reverse, LocalCsr* out) {
+  out->offsets.assign(num_nodes + 1, 0);
+  for (const LocalArc& a : arcs) {
+    ++out->offsets[(reverse ? a.head : a.tail) + 1];
+  }
+  for (size_t v = 0; v < num_nodes; ++v) {
+    out->offsets[v + 1] += out->offsets[v];
+  }
+  out->heads.resize(arcs.size());
+  out->weights.resize(arcs.size());
+  // Counting sort: offsets[v] walks to the start of v + 1's range as v's
+  // arcs are placed, then shifts back one slot below.
+  for (const LocalArc& a : arcs) {
+    const uint32_t from = reverse ? a.head : a.tail;
+    const uint32_t slot = out->offsets[from]++;
+    out->heads[slot] = reverse ? a.tail : a.head;
+    out->weights[slot] = a.weight;
+  }
+  for (size_t v = num_nodes; v > 0; --v) out->offsets[v] = out->offsets[v - 1];
+  out->offsets[0] = 0;
+}
+
+const LocalGraph& Fragmentation::LocalGraphOf(FragmentId f) const {
+  return local_graphs_.Get(*this, f);
+}
+
+size_t Fragmentation::LocalGraphsBuilt() const {
+  return local_graphs_.Built();
+}
+
+const LocalGraph& Fragmentation::LocalGraphCache::Get(
+    const Fragmentation& frag, FragmentId f) const {
+  TCF_CHECK(f < size_);
+  Cell& cell = cells_[f];
+  std::call_once(cell.once, [&] {
+    const std::vector<NodeId>& nodes = frag.FragmentNodes(f);
+    // A dense map, not a search of `nodes` per endpoint: the build runs
+    // on a query's path, and binary searches made it ten times slower.
+    std::vector<NodeId> local_of(frag.graph().NumNodes(), kInvalidNode);
+    for (NodeId i = 0; i < nodes.size(); ++i) local_of[nodes[i]] = i;
+    const std::vector<EdgeId>& edge_ids = frag.FragmentEdges(f);
+    std::vector<LocalArc> arcs;
+    arcs.reserve(edge_ids.size());
+    for (EdgeId e : edge_ids) {
+      const Edge& edge = frag.graph().edge(e);
+      TCF_CHECK_MSG(edge.weight >= 0,
+                    "local searches require non-negative weights");
+      arcs.push_back(
+          LocalArc{local_of[edge.src], local_of[edge.dst], edge.weight});
+    }
+    const size_t n = nodes.size();
+    BuildLocalCsr(n, arcs, /*reverse=*/false, &cell.graph.forward);
+    BuildLocalCsr(n, arcs, /*reverse=*/true, &cell.graph.reverse);
+    cell.builds.fetch_add(1, std::memory_order_relaxed);
+  });
+  return cell.graph;
+}
+
+size_t Fragmentation::LocalGraphCache::Built() const {
+  size_t built = 0;
+  for (size_t f = 0; f < size_; ++f) {
+    built += cells_[f].builds.load(std::memory_order_relaxed);
+  }
+  return built;
 }
 
 std::vector<int> Fragmentation::NodeGroups() const {

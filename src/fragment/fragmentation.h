@@ -5,6 +5,11 @@
 // fragmentation is "loosely connected" when G' is acyclic.
 #pragma once
 
+#include <atomic>
+#include <memory>
+#include <mutex>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -12,6 +17,36 @@
 namespace tcf {
 
 using FragmentId = uint32_t;
+
+/// Compressed adjacency over a fragment's dense local node ids: the arcs
+/// leaving local node v are heads[i] with weights[i], for i in
+/// [offsets[v], offsets[v + 1]).
+struct LocalCsr {
+  std::vector<uint32_t> offsets;
+  std::vector<uint32_t> heads;
+  std::vector<Weight> weights;
+};
+
+/// One arc between local node ids.
+struct LocalArc {
+  uint32_t tail = 0;
+  uint32_t head = 0;
+  Weight weight = 0.0;
+};
+
+/// Fills `out` with the arcs grouped by tail over `num_nodes` local ids
+/// (or by head, with tail and head swapped, when `reverse`). Arcs of one
+/// node keep their input order. Reuses `out`'s capacity.
+void BuildLocalCsr(size_t num_nodes, std::span<const LocalArc> arcs,
+                   bool reverse, LocalCsr* out);
+
+/// A fragment's own edges over dense local ids: local id i is
+/// FragmentNodes(f)[i], so local ids order exactly like the global ones.
+/// Phase-1 searches run on it instead of a CSR over the whole graph.
+struct LocalGraph {
+  LocalCsr forward;  // arcs src -> dst
+  LocalCsr reverse;  // the same arcs, dst -> src
+};
 
 /// A disconnection set DS_ij (i < j): the nodes shared by fragments i and j.
 struct DisconnectionSet {
@@ -21,7 +56,9 @@ struct DisconnectionSet {
 };
 
 /// An edge-partition of a graph together with everything the disconnection
-/// set approach derives from it. Immutable once constructed.
+/// set approach derives from it. Immutable once constructed; only the
+/// per-fragment LocalGraphs are built lazily (and thread-safely) on first
+/// use.
 class Fragmentation {
  public:
   /// Builds from an edge -> fragment assignment (every edge must be
@@ -101,7 +138,51 @@ class Fragmentation {
   /// fragment, isolated nodes -1.
   std::vector<int> NodeGroups() const;
 
+  /// Fragment f's edges as a LocalGraph. Built by the first caller and
+  /// shared by every later one; safe from any number of threads. A copy
+  /// of the Fragmentation starts with no local graph built.
+  const LocalGraph& LocalGraphOf(FragmentId f) const;
+
+  /// How many local graphs this object has built (each fragment's at
+  /// most once).
+  size_t LocalGraphsBuilt() const;
+
  private:
+  // One lazily built LocalGraph per fragment. The cells hold
+  // synchronization state, so copies get fresh cold cells and a
+  // moved-from cache is empty.
+  class LocalGraphCache {
+   public:
+    explicit LocalGraphCache(size_t num_fragments = 0)
+        : cells_(new Cell[num_fragments]), size_(num_fragments) {}
+    LocalGraphCache(const LocalGraphCache& other)
+        : LocalGraphCache(other.size_) {}
+    LocalGraphCache& operator=(const LocalGraphCache& other) {
+      if (this != &other) *this = LocalGraphCache(other.size_);
+      return *this;
+    }
+    LocalGraphCache(LocalGraphCache&& other) noexcept
+        : cells_(std::move(other.cells_)),
+          size_(std::exchange(other.size_, 0)) {}
+    LocalGraphCache& operator=(LocalGraphCache&& other) noexcept {
+      cells_ = std::move(other.cells_);
+      size_ = std::exchange(other.size_, 0);
+      return *this;
+    }
+
+    const LocalGraph& Get(const Fragmentation& frag, FragmentId f) const;
+    size_t Built() const;
+
+   private:
+    struct Cell {
+      std::once_flag once;
+      std::atomic<uint32_t> builds{0};
+      LocalGraph graph;
+    };
+    std::unique_ptr<Cell[]> cells_;
+    size_t size_ = 0;
+  };
+
   const Graph* graph_;
   std::vector<FragmentId> fragment_of_edge_;
   std::vector<std::vector<EdgeId>> fragment_edges_;
@@ -112,6 +193,7 @@ class Fragmentation {
   std::vector<std::vector<FragmentId>> fragment_adjacency_;
   bool loosely_connected_ = true;
   size_t cycles_ = 0;
+  LocalGraphCache local_graphs_;
 };
 
 }  // namespace tcf

@@ -261,6 +261,10 @@ void Server::WriterLoop(Connection* conn) {
         } catch (const std::out_of_range& e) {
           type = MessageType::kError;
           payload = EncodeErrorResponse({StatusCode::kOutOfRange, e.what()});
+        } catch (const std::invalid_argument& e) {
+          type = MessageType::kError;
+          payload =
+              EncodeErrorResponse({StatusCode::kInvalidArgument, e.what()});
         } catch (const std::exception& e) {
           type = MessageType::kError;
           payload =

@@ -17,6 +17,8 @@
 #include <thread>
 
 #include "dsa/batch.h"
+#include "dsa/local_query.h"
+#include "dsa/maintenance.h"
 #include "dsa/service.h"
 #include "dsa/workload.h"
 #include "fragment/center_based.h"
@@ -425,6 +427,126 @@ TEST(Concurrency, PlanCacheUnderContention) {
   const LruCacheStats stats = cache.Stats();
   EXPECT_EQ(stats.hits + stats.misses, kThreads * 50u);
   EXPECT_LE(stats.entries, 2u);
+}
+
+/// Phase-1 specs touching every fragment in both search directions: all
+/// border nodes to all border nodes, one node to the border (forward), and
+/// the border to one node (backward).
+std::vector<LocalQuerySpec> EveryFragmentSpecs(const Fragmentation& frag) {
+  std::vector<LocalQuerySpec> specs;
+  for (FragmentId f = 0; f < frag.NumFragments(); ++f) {
+    const std::vector<NodeId>& nodes = frag.FragmentNodes(f);
+    const std::vector<NodeId>& border =
+        frag.BorderNodes(f).empty() ? nodes : frag.BorderNodes(f);
+    const NodeSet side(border.begin(), border.end());
+    specs.push_back(LocalQuerySpec{f, side, side});
+    specs.push_back(LocalQuerySpec{f, {nodes.front()}, side});
+    specs.push_back(LocalQuerySpec{f, side, {nodes.back()}});
+  }
+  return specs;
+}
+
+bool SameResult(const LocalQueryResult& a, const LocalQueryResult& b) {
+  return a.status.ok() && b.status.ok() &&
+         a.paths.tuples() == b.paths.tuples() &&
+         a.stats.iterations == b.stats.iterations;
+}
+
+/// Runs `specs` on a cold copy of `frag` on this thread alone.
+std::vector<LocalQueryResult> RunAlone(
+    const Fragmentation& frag, const ComplementaryInfo& comp,
+    const std::vector<LocalQuerySpec>& specs) {
+  const Fragmentation cold(frag);
+  EXPECT_EQ(cold.LocalGraphsBuilt(), 0u);  // copies start cold
+  std::vector<LocalQueryResult> out;
+  for (const LocalQuerySpec& spec : specs) {
+    out.push_back(RunLocalQuery(cold, &comp, spec));
+  }
+  return out;
+}
+
+TEST(Concurrency, ConcurrentFirstTouchBuildsEachLocalGraphOnce) {
+  // Every thread's first subqueries land on a cold Fragmentation at once:
+  // the lazy local-graph build must run once per fragment, and every
+  // answer must equal a single-threaded run. Then the same across a
+  // published epoch, whose snapshot carries a new, cold Fragmentation.
+  Fixture fx(105, /*cyclic=*/true);
+  const Fragmentation& frag = *fx.frag;
+  ASSERT_EQ(frag.LocalGraphsBuilt(), 0u);
+  const ComplementaryInfo& comp = fx.db->complementary();
+  const std::vector<LocalQuerySpec> specs = EveryFragmentSpecs(frag);
+  const std::vector<LocalQueryResult> expected = RunAlone(frag, comp, specs);
+
+  std::atomic<size_t> mismatches{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (size_t i = 0; i < specs.size(); ++i) {
+        const size_t k = (i + t) % specs.size();
+        if (!SameResult(RunLocalQuery(frag, &comp, specs[k]), expected[k])) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(frag.LocalGraphsBuilt(), frag.NumFragments());
+
+  // Across an epoch: each thread runs one pass on whatever snapshot is
+  // current while the epoch is being published, then one more after it.
+  MaintainedDatabase mdb = MaintainedDatabase::FromFragmentation(frag);
+  const auto [v, w, id] = *fx.graph.OutEdges(0).begin();
+  struct Pass {
+    DsaSnapshot snap;
+    std::vector<LocalQueryResult> results;
+  };
+  std::vector<std::vector<Pass>> passes(kThreads);
+  std::atomic<bool> published{false};
+  go.store(false);
+  threads.clear();
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (int round = 0; round < 2; ++round) {
+        if (round == 1) {
+          while (!published.load(std::memory_order_acquire)) {
+            std::this_thread::yield();
+          }
+        }
+        Pass pass;
+        pass.snap = mdb.Snapshot();
+        for (const LocalQuerySpec& spec : specs) {
+          pass.results.push_back(RunLocalQuery(
+              *pass.snap.frag, &pass.snap.db->complementary(), spec));
+        }
+        passes[t].push_back(std::move(pass));
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  const EpochStats epoch = mdb.ApplyEpoch({EdgeUpdate::Reweight(0, v, w * 2)});
+  published.store(true, std::memory_order_release);
+  for (std::thread& th : threads) th.join();
+  ASSERT_TRUE(epoch.published);
+
+  size_t on_new_epoch = 0;
+  for (const std::vector<Pass>& thread_passes : passes) {
+    for (const Pass& pass : thread_passes) {
+      const Fragmentation& snap_frag = *pass.snap.frag;
+      const std::vector<LocalQueryResult> alone =
+          RunAlone(snap_frag, pass.snap.db->complementary(), specs);
+      for (size_t k = 0; k < specs.size(); ++k) {
+        EXPECT_TRUE(SameResult(pass.results[k], alone[k])) << "spec " << k;
+      }
+      EXPECT_EQ(snap_frag.LocalGraphsBuilt(), snap_frag.NumFragments());
+      on_new_epoch += pass.snap.epoch == epoch.epoch;
+    }
+  }
+  EXPECT_GE(on_new_epoch, kThreads);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <set>
+#include <tuple>
 
 #include "fragment/fragmentation.h"
 #include "fragment/metrics.h"
@@ -120,6 +121,40 @@ TEST(Fragmentation, FragmentSubgraphHasOnlyFragmentEdges) {
     EXPECT_LE(e.src, 2u);
     EXPECT_LE(e.dst, 2u);
   }
+}
+
+TEST(Fragmentation, LocalGraphHoldsTheFragmentEdgesInLocalIds) {
+  SharedNodeFixture fx;
+  const Fragmentation& frag = *fx.frag;
+  EXPECT_EQ(frag.LocalGraphsBuilt(), 0u);  // built on first use only
+  for (FragmentId f = 0; f < frag.NumFragments(); ++f) {
+    const std::vector<NodeId>& nodes = frag.FragmentNodes(f);
+    std::multiset<std::tuple<NodeId, NodeId, Weight>> want;
+    for (EdgeId e : frag.FragmentEdges(f)) {
+      const Edge& edge = fx.graph.edge(e);
+      want.emplace(edge.src, edge.dst, edge.weight);
+    }
+    const LocalGraph& local = frag.LocalGraphOf(f);
+    EXPECT_EQ(&local, &frag.LocalGraphOf(f));  // shared, not rebuilt
+    std::multiset<std::tuple<NodeId, NodeId, Weight>> forward, reverse;
+    for (uint32_t v = 0; v < nodes.size(); ++v) {
+      for (uint32_t i = local.forward.offsets[v];
+           i < local.forward.offsets[v + 1]; ++i) {
+        forward.emplace(nodes[v], nodes[local.forward.heads[i]],
+                        local.forward.weights[i]);
+      }
+      for (uint32_t i = local.reverse.offsets[v];
+           i < local.reverse.offsets[v + 1]; ++i) {
+        reverse.emplace(nodes[local.reverse.heads[i]], nodes[v],
+                        local.reverse.weights[i]);
+      }
+    }
+    EXPECT_EQ(forward, want);
+    EXPECT_EQ(reverse, want);
+  }
+  EXPECT_EQ(frag.LocalGraphsBuilt(), frag.NumFragments());
+  const Fragmentation copy(frag);
+  EXPECT_EQ(copy.LocalGraphsBuilt(), 0u);  // copies start cold
 }
 
 TEST(Fragmentation, NodeGroupsForVisualization) {

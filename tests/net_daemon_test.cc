@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <future>
 #include <memory>
@@ -351,6 +352,25 @@ TEST_F(DaemonTest, UpdateRoundTripShiftsAnswers) {
       EXPECT_NEAR(got.value(), want, 1e-9) << from << "->" << to;
     }
   }
+}
+
+TEST_F(DaemonTest, InvalidUpdateWeightFailsOnlyItsOwnRequest) {
+  // A negative or NaN weight must come back as a request-scoped
+  // invalid-argument error, publish no epoch, and leave the daemon and
+  // the connection serving.
+  auto client = Connect();
+  const NodeId v = graph().OutEdges(0).begin()->dst;
+  for (const Weight weight : {-1.0, std::nan("")}) {
+    Result<uint64_t> epoch =
+        client->SubmitUpdate(EdgeUpdate::Reweight(0, v, weight)).get();
+    ASSERT_FALSE(epoch.ok()) << weight;
+    EXPECT_EQ(epoch.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(stack_->mdb.epoch(), 0u);
+  ExpectMatchesOracle(0, v, client->ShortestPathCost(0, v));
+  EXPECT_TRUE(client->Ping().ok());
+  auto other = Connect();
+  ExpectMatchesOracle(v, 0, other->ShortestPathCost(v, 0));
 }
 
 TEST_F(DaemonTest, ServerStopDrainsInFlightReplies) {

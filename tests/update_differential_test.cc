@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -444,6 +445,22 @@ TEST(UpdateDifferential, UpdateErrorsFailTheFuture) {
   const NodeId bad = static_cast<NodeId>(mdb.graph().NumNodes());
   EXPECT_THROW(service.SubmitUpdate(EdgeUpdate::Delete(bad, 0)).get(),
                std::out_of_range);
+  // Inserts and reweights need a finite, non-negative weight: anything
+  // else fails its own future, publishes nothing, and later queries
+  // still answer.
+  const NodeId v = mdb.graph().OutEdges(0).begin()->dst;
+  for (const Weight weight : {-1.0, std::nan(""), kInfinity}) {
+    EXPECT_THROW(
+        service.SubmitUpdate(EdgeUpdate::Reweight(0, v, weight)).get(),
+        std::invalid_argument)
+        << weight;
+    EXPECT_THROW(service.SubmitUpdate(EdgeUpdate::Insert(0, v, weight)).get(),
+                 std::invalid_argument)
+        << weight;
+  }
+  EXPECT_EQ(mdb.epoch(), 0u);
+  EXPECT_NEAR(service.SubmitShortestPath(0, v).get(),
+              OracleCost(mdb.graph(), 0, v), 1e-9);
   service.Shutdown();
   EXPECT_THROW(service.SubmitUpdate(EdgeUpdate::Delete(0, 1)).get(),
                std::runtime_error);
