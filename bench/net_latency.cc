@@ -4,7 +4,8 @@
 //
 //   1. blocking RPC — one request on the wire at a time: per-call p50/p99
 //      and the resulting qps; the floor a naive request/response client
-//      pays per round trip (syscalls + framing + micro-batch wait).
+//      pays per round trip (syscalls + framing + a batch of one, which an
+//      idle flush worker runs at once).
 //   2. pipelining depth sweep — one client, {1, 8, 64, 256} requests in
 //      flight: pipelining amortizes the round trip AND fills the
 //      service's micro-batches, so qps should climb steeply with depth.
@@ -74,7 +75,6 @@ int main(int argc, char** argv) {
   DsaDatabase db(&frag);
   ServiceOptions sopts;
   sopts.max_batch = 256;
-  sopts.max_wait = std::chrono::milliseconds(1);
   QueryService service(&db, sopts);
   Server server(&service);
   TCF_CHECK(server.Start().ok());

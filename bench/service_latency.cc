@@ -6,11 +6,10 @@
 //      through a QueryService (micro-batched via BatchExecutor) vs the
 //      naive one-query-at-a-time dispatch loop over the same database.
 //      The acceptance bar: streaming sustains >= 2x the naive qps at 8
-//      clients, with p99 latency bounded by max_wait plus one batch
-//      execution.
-//   2. latency vs throughput — the admission policy grid (max_wait x
-//      max_batch) under closed-loop load: bigger windows/batches buy
-//      throughput with latency, smaller ones the reverse.
+//      clients.
+//   2. latency vs throughput — a max_batch sweep under closed-loop load:
+//      a larger cap lets the backlog that builds during one batch run as
+//      one bigger batch, buying throughput with latency.
 //   3. open-loop arrivals — uniform vs bursty arrival processes at a fixed
 //      offered rate: burstiness deepens micro-batch fill at the same mean
 //      rate.
@@ -134,12 +133,11 @@ void StreamingVsNaive(const Fragmentation& frag, size_t num_queries,
   const double naive_qps = static_cast<double>(num_queries) / naive_seconds;
 
   // Streaming: fresh database so the naive loop cannot warm any cache.
-  // Throughput-leaning policy (the latency/throughput grid below sweeps
-  // the trade-off): deep micro-batches maximize cross-query sharing.
+  // Throughput-leaning policy (the max_batch sweep below measures the
+  // trade-off): deep micro-batches maximize cross-query sharing.
   DsaDatabase db(&frag);
   ServiceOptions opts;
   opts.max_batch = 256;
-  opts.max_wait = std::chrono::milliseconds(2);
   QueryService service(&db, opts);
   const LoadResult run =
       DriveClosedLoop(&service, queries, clients, opts.max_batch);
@@ -171,34 +169,27 @@ void LatencyVsThroughput(const Fragmentation& frag, size_t num_queries,
                          size_t clients, JsonMetrics* metrics) {
   const std::vector<Query> queries = UniformWorkload(frag, num_queries, 52);
   std::printf(
-      "latency vs throughput: admission policy grid, %zu queries, "
+      "latency vs throughput: max_batch sweep, %zu queries, "
       "%zu client threads (closed loop)\n",
       num_queries, clients);
-  TablePrinter table({"max_batch", "max_wait ms", "q/s", "p50 ms", "p95 ms",
-                      "p99 ms", "mean fill"});
+  TablePrinter table({"max_batch", "q/s", "p50 ms", "p95 ms", "p99 ms",
+                      "mean fill"});
 
   for (size_t max_batch : {16, 64, 256}) {
-    for (int wait_us : {500, 2000, 8000}) {
-      DsaDatabase db(&frag);
-      ServiceOptions opts;
-      opts.max_batch = max_batch;
-      opts.max_wait = std::chrono::microseconds(wait_us);
-      QueryService service(&db, opts);
-      const LoadResult run =
-          DriveClosedLoop(&service, queries, clients, max_batch);
-      service.Shutdown();
-      const double qps = static_cast<double>(num_queries) / run.wall_seconds;
-      table.AddRow({std::to_string(max_batch),
-                    TablePrinter::Fmt(wait_us / 1e3, 1),
-                    TablePrinter::Fmt(qps, 0),
-                    TablePrinter::Fmt(run.stats.LatencyPercentileMs(50), 2),
-                    TablePrinter::Fmt(run.stats.LatencyPercentileMs(95), 2),
-                    TablePrinter::Fmt(run.stats.LatencyPercentileMs(99), 2),
-                    TablePrinter::Fmt(run.stats.MeanBatchFill(), 1)});
-      metrics->Set("grid/batch_" + std::to_string(max_batch) + "_wait_" +
-                       std::to_string(wait_us) + "us_qps",
-                   qps);
-    }
+    DsaDatabase db(&frag);
+    ServiceOptions opts;
+    opts.max_batch = max_batch;
+    QueryService service(&db, opts);
+    const LoadResult run =
+        DriveClosedLoop(&service, queries, clients, max_batch);
+    service.Shutdown();
+    const double qps = static_cast<double>(num_queries) / run.wall_seconds;
+    table.AddRow({std::to_string(max_batch), TablePrinter::Fmt(qps, 0),
+                  TablePrinter::Fmt(run.stats.LatencyPercentileMs(50), 2),
+                  TablePrinter::Fmt(run.stats.LatencyPercentileMs(95), 2),
+                  TablePrinter::Fmt(run.stats.LatencyPercentileMs(99), 2),
+                  TablePrinter::Fmt(run.stats.MeanBatchFill(), 1)});
+    metrics->Set("grid/batch_" + std::to_string(max_batch) + "_qps", qps);
   }
   table.Print();
   std::printf("\n");
@@ -230,7 +221,6 @@ void OpenLoopArrivals(const Fragmentation& frag, size_t num_queries,
     DsaDatabase db(&frag);
     ServiceOptions opts;
     opts.max_batch = 64;
-    opts.max_wait = std::chrono::milliseconds(2);
     QueryService service(&db, opts);
     const LoadResult run = DriveOpenLoop(&service, queries, arrivals);
     service.Shutdown();
@@ -278,7 +268,6 @@ void ShardScalingSweep(const Fragmentation& frag, size_t num_queries,
         DsaDatabase db(&frag);
         ServiceOptions opts;
         opts.max_batch = 256;
-        opts.max_wait = std::chrono::milliseconds(2);
         opts.admission_shards = shards;
         QueryService service(&db, opts);
         const LoadResult run =
@@ -346,7 +335,6 @@ bool FlushWorkerSweep(const Fragmentation& frag, size_t num_queries,
           DsaDatabase db(&frag);
           ServiceOptions opts;
           opts.max_batch = 256;
-          opts.max_wait = std::chrono::milliseconds(2);
           opts.admission_shards = shards;
           opts.flush_workers = workers;
           QueryService service(&db, opts);

@@ -61,7 +61,6 @@ CellResult DriveReadsUnderUpdates(MaintainedDatabase* mdb,
                                   double updates_per_second) {
   ServiceOptions opts;
   opts.max_batch = 64;
-  opts.max_wait = std::chrono::milliseconds(2);
   QueryService service(mdb, opts);
 
   const std::vector<Edge> initial_edges = mdb->graph().edges();

@@ -71,7 +71,6 @@ int main() {
 
   ServiceOptions opts;
   opts.max_batch = 32;
-  opts.max_wait = std::chrono::milliseconds(1);
   // Flush in parallel: 0 (the default) runs one flush worker per hardware
   // thread; pin it when you want deterministic batch shapes instead.
   opts.flush_workers = 0;

@@ -23,7 +23,7 @@ DsaDatabase::DsaDatabase(const Fragmentation* frag, DsaOptions options)
   const size_t threads = options_.num_threads > 0 ? options_.num_threads
                                                   : frag_->NumFragments();
   pool_ = std::make_shared<ThreadPool>(threads);
-  plan_cache_ = std::make_unique<ChainPlanCache>(options_.plan_cache_capacity);
+  plan_cache_ = std::make_unique<ChainPlanCache>();
 }
 
 DsaDatabase::DsaDatabase(const Fragmentation* frag, DsaOptions options,
@@ -53,8 +53,7 @@ DsaDatabase::DsaDatabase(const Fragmentation* frag, DsaOptions options,
   if (carry.plan_cache != nullptr) {
     plan_cache_ = std::move(carry.plan_cache);
   } else {
-    plan_cache_ =
-        std::make_unique<ChainPlanCache>(options_.plan_cache_capacity);
+    plan_cache_ = std::make_unique<ChainPlanCache>();
   }
 }
 

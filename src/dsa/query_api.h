@@ -33,9 +33,6 @@ struct DsaOptions {
   /// Ablation switch: evaluate without the complementary information
   /// (answers may then be over-estimates; see EXPERIMENTS.md).
   bool use_complementary = true;
-  /// Capacity of the chain-plan LRU cache (entries are fragment pairs);
-  /// must be >= 1 — every query plans through the cache.
-  size_t plan_cache_capacity = 4096;
 };
 
 /// State a maintenance epoch hands from the outgoing DsaDatabase to its

@@ -34,8 +34,8 @@ std::vector<Result<Weight>> CostsOf(const BatchResult& result) {
       costs.push_back(answer.answer.cost);
     } else {
       // A query that could not read its (paged) storage fails with its
-      // Status; the flush worker turns it into a failed future for just
-      // that query.
+      // Status; the flush worker turns it into a StatusError on just that
+      // query's future.
       costs.push_back(answer.answer.status);
     }
   }
@@ -150,25 +150,18 @@ void QueryService::Start() {
   shards_.resize(options_.admission_shards);
   for (auto& shard : shards_) shard = std::make_unique<Shard>();
 
-  const size_t workers = options_.flush_workers;
-  group_shards_.assign(workers, {});
-  all_shards_.resize(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    all_shards_[s] = s;
-    group_shards_[s % workers].push_back(s);  // ascending within a group
-  }
-
   stats_.latency_seconds = Accumulator(options_.latency_sample_cap);
   stats_.update_latency_seconds = Accumulator(options_.latency_sample_cap);
   stats_.batch_fill = Accumulator(options_.latency_sample_cap);
   start_time_ = std::chrono::steady_clock::now();
 
+  const size_t workers = options_.flush_workers;
   const bool updates = backend_->SupportsUpdates();
   live_flushers_.store(static_cast<int>(workers) + (updates ? 1 : 0),
                        std::memory_order_relaxed);
   flush_threads_.reserve(workers);
   for (size_t w = 0; w < workers; ++w) {
-    flush_threads_.emplace_back([this, w]() { FlushWorkerLoop(w); });
+    flush_threads_.emplace_back([this]() { FlushWorkerLoop(); });
   }
   if (updates) {
     update_thread_ = std::thread([this]() { UpdateLoop(); });
@@ -231,8 +224,7 @@ std::optional<std::future<Weight>> QueryService::Admit(Query query,
     }
     shard.queue.push_back(std::move(pending));
     ++shard.submitted;
-    const size_t before = pending_.fetch_add(1, std::memory_order_relaxed);
-    ring = before == 0 || before + 1 == options_.max_batch;
+    ring = pending_.fetch_add(1, std::memory_order_relaxed) == 0;
   }
   if (ring) RingDoorbell();
   return future;
@@ -240,15 +232,15 @@ std::optional<std::future<Weight>> QueryService::Admit(Query query,
 
 void QueryService::RingDoorbell() {
   // The empty critical section is what makes the notify reliable: flush
-  // workers evaluate their sleep predicates while holding flush_mutex_,
-  // so the notify cannot land inside a check-then-sleep window. Only the
-  // submitter whose push made the total pending count non-empty (workers
-  // may be sleeping with no deadline) or made it cross max_batch (workers
-  // may be sleeping until a max_wait deadline) rings; every other submit
-  // touches no global state beyond one uncontended atomic increment.
-  // notify_all, not notify_one: several workers may be coalescing toward
-  // different deadlines and the one woken by notify_one might not be the
-  // owner of the shard group that just filled.
+  // workers evaluate their sleep predicate while holding flush_mutex_, so
+  // the notify cannot land inside a check-then-sleep window. Only the
+  // submitter whose push made the total pending count non-empty rings: a
+  // worker sleeps only after reading the count as zero, and a busy worker
+  // reads it again before sleeping, so every other submit touches no
+  // global state beyond one atomic increment. notify_all, not notify_one:
+  // the count may be far past one by the time a worker pops, and every
+  // idle worker may take a share of that burst; a worker that wakes to
+  // an empty backlog goes back to sleep on the predicate.
   { std::lock_guard<std::mutex> doorbell(flush_mutex_); }
   flush_cv_.notify_all();
 }
@@ -305,9 +297,9 @@ std::future<uint64_t> QueryService::SubmitUpdate(EdgeUpdate update) {
     }
     update_queue_.push_back(std::move(pending));
   }
-  // Updates wake their own applier thread — they neither ring the query
-  // doorbell nor cut a flush worker's coalescing window short; workers
-  // pick up the published epoch at their next batch boundary.
+  // Updates wake their own applier thread and never ring the query
+  // doorbell; workers pick up the published epoch at their next batch
+  // boundary.
   update_cv_.notify_one();
   return future;
 }
@@ -360,77 +352,40 @@ ServiceStats QueryService::Stats() const {
   return snapshot;
 }
 
-std::chrono::steady_clock::time_point QueryService::FlushDeadline(
-    std::chrono::steady_clock::time_point oldest,
-    std::chrono::microseconds max_wait) {
-  using TimePoint = std::chrono::steady_clock::time_point;
-  const auto wait = std::chrono::duration_cast<TimePoint::duration>(max_wait);
-  // Covers both the "queues raced empty" sentinel (oldest == max()) and
-  // any near-max value whose addition would overflow into UB.
-  if (oldest >= TimePoint::max() - wait) return TimePoint::max();
-  return oldest + wait;
-}
-
-std::chrono::steady_clock::time_point QueryService::OldestSubmitTimeOf(
-    const std::vector<size_t>& shard_indices) const {
-  auto oldest = std::chrono::steady_clock::time_point::max();
-  for (size_t s : shard_indices) {
-    std::lock_guard<std::mutex> lock(shards_[s]->mutex);
-    if (!shards_[s]->queue.empty()) {
-      oldest = std::min(oldest, shards_[s]->queue.front().submit_time);
-    }
-  }
-  return oldest;
-}
-
-std::vector<QueryService::Pending> QueryService::CollectFromShards(
-    const std::vector<size_t>& shard_indices) {
+std::vector<QueryService::Pending> QueryService::PopOldest() {
   std::vector<Pending> admitted;
 
-  // Hold every listed shard lock for the merge, acquired in ascending
-  // shard-index order (shard_indices is ascending by construction — see
-  // the Shard lock-order comment for why concurrent sweeps over
-  // overlapping subsets cannot deadlock): entries are popped oldest-first
-  // across the subset, which is the single-queue admission order
-  // restricted to it, so no stripe can starve under overload.
+  // Hold every shard lock for the merge, acquired in ascending shard-index
+  // order (see the Shard lock-order comment for why concurrent sweeps
+  // cannot deadlock): entries are popped oldest-first across all shards,
+  // which is the single-queue admission order, so no stripe can starve
+  // under overload.
   std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shard_indices.size());
-  for (size_t s : shard_indices) locks.emplace_back(shards_[s]->mutex);
+  locks.reserve(shards_.size());
+  for (auto& shard : shards_) locks.emplace_back(shard->mutex);
 
-  std::vector<bool> popped(shard_indices.size(), false);
+  std::vector<bool> popped(shards_.size(), false);
   while (admitted.size() < options_.max_batch) {
-    size_t best = shard_indices.size();
+    size_t best = shards_.size();
     auto best_time = std::chrono::steady_clock::time_point::max();
-    for (size_t i = 0; i < shard_indices.size(); ++i) {
-      const auto& queue = shards_[shard_indices[i]]->queue;
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      const auto& queue = shards_[s]->queue;
       if (!queue.empty() && queue.front().submit_time < best_time) {
         best_time = queue.front().submit_time;
-        best = i;
+        best = s;
       }
     }
-    if (best == shard_indices.size()) break;  // all listed shards empty
-    auto& queue = shards_[shard_indices[best]]->queue;
+    if (best == shards_.size()) break;  // every shard empty
+    auto& queue = shards_[best]->queue;
     admitted.push_back(std::move(queue.front()));
     queue.pop_front();
     popped[best] = true;
   }
   pending_.fetch_sub(admitted.size(), std::memory_order_relaxed);
 
-  for (size_t i = 0; i < shard_indices.size(); ++i) {
-    locks[i].unlock();
-    if (popped[i]) shards_[shard_indices[i]]->space_cv.notify_all();
-  }
-  return admitted;
-}
-
-std::vector<QueryService::Pending> QueryService::CollectBatch(size_t worker) {
-  const std::vector<size_t>& own = group_shards_[worker];
-  std::vector<Pending> admitted = CollectFromShards(own);
-  if (admitted.empty() && own.size() < shards_.size()) {
-    // Steal: the worker's own group is empty, so sweep everything,
-    // globally oldest-first — a hot group drains through every idle
-    // worker, not just its owner.
-    admitted = CollectFromShards(all_shards_);
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    locks[s].unlock();
+    if (popped[s]) shards_[s]->space_cv.notify_all();
   }
   return admitted;
 }
@@ -477,50 +432,26 @@ void QueryService::UpdateLoop() {
   }
 }
 
-void QueryService::FlushWorkerLoop(size_t worker) {
+void QueryService::FlushWorkerLoop() {
   for (;;) {
+    bool stopping = false;
     {
       std::unique_lock<std::mutex> lock(flush_mutex_);
       flush_cv_.wait(lock, [this]() {
         return stop_requested_.load(std::memory_order_acquire) ||
                pending_.load(std::memory_order_relaxed) > 0;
       });
-      if (!stop_requested_.load(std::memory_order_acquire) &&
-          pending_.load(std::memory_order_relaxed) < options_.max_batch) {
-        // Coalesce: sleep until the worker's own oldest entry has waited
-        // max_wait. A worker whose own group is empty coalesces toward
-        // the GLOBAL oldest entry's deadline instead — under saturation
-        // the size predicate below fires immediately and it steals right
-        // away; under a trickle the owner usually collects first and the
-        // thief's sweep comes up empty. Any entry a worker pops at its
-        // deadline is older than its own group's oldest, so the max_wait
-        // latency bound holds either way. The deadline is advisory: a
-        // concurrent popper may already have taken the entry behind it,
-        // which is why FlushDeadline clamps the max() sentinel instead of
-        // letting the addition overflow.
-        auto oldest = OldestSubmitTimeOf(group_shards_[worker]);
-        if (oldest == std::chrono::steady_clock::time_point::max()) {
-          oldest = OldestSubmitTimeOf(all_shards_);
-        }
-        const auto deadline = FlushDeadline(oldest, options_.max_wait);
-        if (deadline != std::chrono::steady_clock::time_point::max()) {
-          flush_cv_.wait_until(lock, deadline, [this]() {
-            return stop_requested_.load(std::memory_order_acquire) ||
-                   pending_.load(std::memory_order_relaxed) >=
-                       options_.max_batch;
-          });
-        }
-      }
+      stopping = stop_requested_.load(std::memory_order_acquire);
     }
 
-    std::vector<Pending> admitted = CollectBatch(worker);
+    // The stop flag is read BEFORE the sweep: once it reads true,
+    // Shutdown() has flagged every shard, so no admission can land after
+    // this sweep and an empty one means the drain is complete. (Read after
+    // an empty sweep, the flag could cover a query admitted in between.)
+    std::vector<Pending> admitted = PopOldest();
     if (admitted.empty()) {
-      // CollectBatch returns empty only after a sweep of EVERY shard
-      // found nothing, so with stop_requested_ set there is nothing left
-      // to drain (the shard-flag protocol in Shutdown() guarantees no
-      // admission can appear after that sweep).
-      if (stop_requested_.load(std::memory_order_acquire)) break;
-      continue;
+      if (stopping) break;
+      continue;  // another worker popped first
     }
 
     std::vector<Query> batch;
@@ -553,9 +484,9 @@ void QueryService::FlushWorkerLoop(size_t worker) {
       } else {
         // One failed query fails its own future; the rest of the batch
         // (and the daemon) are unaffected. The network edge's WriterLoop
-        // already turns a future exception into an error frame.
-        admitted[i].promise.set_exception(std::make_exception_ptr(
-            std::runtime_error(costs[i].status().ToString())));
+        // turns the StatusError into an error frame with the same code.
+        admitted[i].promise.set_exception(
+            std::make_exception_ptr(StatusError(costs[i].status())));
       }
     }
   }

@@ -2,40 +2,28 @@
 // clients" and the batch core. The paper's phase-1 independence makes
 // *batches* profitable (dsa/batch.h), but real traffic arrives as a stream
 // of single queries from concurrent clients. A QueryService coalesces those
-// arrivals into micro-batches — flush on size or on a time window — and
-// runs each micro-batch through a pluggable backend, so streaming traffic
-// inherits the cross-query subquery deduplication, the per-batch plan
-// memo, and the skeleton cache of the batch executor without any client
-// knowing about batching.
+// arrivals into micro-batches and runs each micro-batch through a
+// pluggable backend, so streaming traffic inherits the cross-query
+// subquery deduplication, the per-batch plan memo, and the skeleton cache
+// of the batch executor without any client knowing about batching.
 //
 // The admission path is *sharded*: submitters are striped by thread
 // affinity over `admission_shards` independent bounded queues (own mutex,
 // own backpressure condition), so concurrent clients contend only within
 // their stripe instead of on one global admission mutex.
 //
-// Flushing is *parallel*: `flush_workers` worker threads (default: one per
-// hardware thread) each own a disjoint group of admission shards — shard s
-// belongs to worker s % flush_workers — and each drives its own
-// CollectBatch + ExecuteBatch + promise-fulfillment cycle, so micro-batches
-// execute concurrently on a re-entrant backend. A worker whose own group is
-// empty *steals*: it sweeps every shard globally oldest-first, so a hot
-// shard group can never starve behind one busy worker while others idle.
-// With flush_workers == 1 the worker owns every shard and the service
-// reproduces the single-flush-thread semantics exactly: flush on size
-// (total pending ≥ max_batch) or on time window (oldest pending entry older
-// than max_wait). With more workers the same per-query latency bound holds
-// (a query is collected no later than max_wait after admission, by its
-// owner or by a thief), but a size-triggered flush coalesces per group, so
-// concurrent batches may each carry a fraction of the global backlog —
-// that is the point: fill is traded for parallel execution.
+// Flushing is *work-conserving* (the group-commit rule): `flush_workers`
+// worker threads (default: one per hardware thread) sleep only while
+// nothing is pending. A worker that wakes, or that finishes a batch while
+// queries are pending, pops up to `max_batch` of them merged oldest-first
+// across every shard and executes them at once. An idle service therefore
+// runs a lone query immediately, and queries coalesce exactly while every
+// worker is busy: what arrives during one batch's execution is the next
+// batch. No timer holds a query back, so batch fill follows the load
+// (about 1 under a trickle, up to max_batch under saturation).
 //
 // Admission policy (ServiceOptions):
-//   - max_batch:        flush as soon as this many queries are pending
-//                       across all shards,
-//   - max_wait:         flush a non-empty queue no later than this after
-//                       its oldest entry arrived — the latency bound: a
-//                       query's p99 latency is bounded by max_wait plus
-//                       one batch execution,
+//   - max_batch:        the most queries one micro-batch takes,
 //   - queue_capacity:   bounded admission queue, per shard. Submit*
 //                       blocks when its shard is full (closed-loop
 //                       backpressure); TrySubmit rejects and the
@@ -51,6 +39,11 @@
 // the same way — backpressure never deadlocks a shutdown. The last flush
 // worker to exit freezes the service clock, so post-shutdown Stats() is
 // stable regardless of worker scheduling.
+//
+// A query the backend answers with a Status (a paged page that fails to
+// read, say) fails its own future with a StatusError carrying that Status,
+// so the network edge can report its code; the rest of the batch is
+// answered normally.
 //
 // The backend seam (ServiceBackend) is what makes the flush workers
 // deployment-agnostic: DatabaseBackend drives the in-process DsaDatabase
@@ -86,6 +79,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -96,6 +90,21 @@
 namespace tcf {
 
 class SiteNetwork;
+
+/// The exception a query's future carries when the backend answered that
+/// query with a Status: the Status travels intact, so a caller (the
+/// network edge) can tell a storage failure from a shutdown by its code.
+/// A std::runtime_error, like the service's other future errors.
+class StatusError : public std::runtime_error {
+ public:
+  explicit StatusError(Status status)
+      : std::runtime_error(status.ToString()), status_(std::move(status)) {}
+
+  const Status& status() const { return status_; }
+
+ private:
+  Status status_;
+};
 
 /// Where admitted micro-batches execute. ExecuteBatch may be called
 /// CONCURRENTLY from the service's flush workers, so implementations must
@@ -200,7 +209,12 @@ class SiteNetworkBackend : public ServiceBackend {
 
 /// Micro-batching policy of the admission loop; see the header comment.
 struct ServiceOptions {
+  /// The most queries one micro-batch takes from the backlog.
   size_t max_batch = 64;
+  /// Read nowhere: a flush worker never waits for more queries. Kept
+  /// declared only because the serving benchmark (perfbench/) prints it
+  /// in its run header; it goes with that line when the benchmark next
+  /// changes.
   std::chrono::microseconds max_wait{2000};
   /// Bounded admission-queue depth, PER SHARD (total admitted backlog is
   /// bounded by admission_shards * queue_capacity).
@@ -208,11 +222,10 @@ struct ServiceOptions {
   /// Admission-queue stripes; submitters are striped by thread affinity.
   /// Clamped to [1, 256]. 1 reproduces the single-queue service.
   size_t admission_shards = 4;
-  /// Concurrent flush workers, each owning the shard group
-  /// {s : s % flush_workers == worker} and stealing globally when its own
-  /// group is empty. 0 (the default) means one worker per hardware thread
-  /// (min 1); clamped to [1, 64]. 1 reproduces the single-flush-thread
-  /// service exactly.
+  /// Concurrent flush workers, each popping from every shard. 0 (the
+  /// default) means one worker per hardware thread (min 1); clamped to
+  /// [1, 64]. With 1, batch shapes are deterministic for a given arrival
+  /// order.
   size_t flush_workers = 0;
   /// Cap on the stored per-query latency and per-batch fill samples
   /// behind the percentile/fill accounting (a uniform reservoir over the
@@ -305,7 +318,8 @@ class QueryService {
   /// unconnected), or std::runtime_error if the service was already shut
   /// down, or std::out_of_range for an invalid query (database-backed
   /// services validate at admission, so one bad query fails its own
-  /// future instead of reaching a flush worker).
+  /// future instead of reaching a flush worker), or a StatusError when
+  /// the backend could not evaluate it.
   std::future<Weight> SubmitShortestPath(NodeId from, NodeId to);
 
   /// Non-blocking submit: nullopt when the shard is full (counted as a
@@ -367,13 +381,12 @@ class QueryService {
   ///
   /// Lock order (the reason concurrent poppers cannot deadlock): shard
   /// mutexes are ranked by shard index, and every multi-shard acquisition
-  /// (CollectFromShards over a group or over all shards,
-  /// OldestSubmitTimeOf, Stats) takes them in ascending index order and
-  /// releases all of them before acquiring any other set. Submitters hold
-  /// exactly one shard mutex. stats_mutex_ is acquired either alone, or
-  /// before shard mutexes (Stats), never after — flush workers release
-  /// every shard lock before recording stats. So every cycle the
-  /// wait-for graph could form is broken by the ascending-index rank.
+  /// (PopOldest, Stats) takes them in ascending index order and releases
+  /// all of them before acquiring any other set. Submitters hold exactly
+  /// one shard mutex. stats_mutex_ is acquired either alone, or before
+  /// shard mutexes (Stats), never after — flush workers release every
+  /// shard lock before recording stats. So every cycle the wait-for graph
+  /// could form is broken by the ascending-index rank.
   struct Shard {
     mutable std::mutex mutex;
     std::condition_variable space_cv;  // blocked submitters wait here
@@ -387,10 +400,9 @@ class QueryService {
     bool stopping = false;
   };
 
-  /// Shared constructor tail: validates options, builds the shards, the
-  /// worker→shard-group table, and the capped accumulators, then starts
-  /// the flush workers (and the update applier when the backend supports
-  /// updates).
+  /// Shared constructor tail: validates options, builds the shards and
+  /// the capped accumulators, then starts the flush workers (and the
+  /// update applier when the backend supports updates).
   void Start();
   Shard& ShardForThisThread();
   /// The one admission path behind every Submit*: validates (when a
@@ -402,38 +414,18 @@ class QueryService {
   /// Wakes the flush workers reliably (see the definition for when
   /// submitters need to).
   void RingDoorbell();
-  /// One flush worker: coalesce, collect (own group first, then steal),
-  /// execute, fulfill. The last worker to exit freezes the stats clock.
-  void FlushWorkerLoop(size_t worker);
+  /// One flush worker: sleep while nothing is pending, pop, execute,
+  /// fulfill. The last worker to exit freezes the stats clock.
+  void FlushWorkerLoop();
   /// The update applier: drains all pending updates as one maintenance
   /// epoch per wake, concurrently with the flush workers.
   void UpdateLoop();
 
-  /// `OldestSubmitTime() + max_wait` clamped against overflow: when the
-  /// queues race empty between the sleep-predicate check and this call
-  /// (another popper got there first), OldestSubmitTime returns
-  /// time_point::max() and the unclamped addition is UB. Returns
-  /// time_point::max() ("no deadline") in that case.
-  static std::chrono::steady_clock::time_point FlushDeadline(
-      std::chrono::steady_clock::time_point oldest,
-      std::chrono::microseconds max_wait);
-
-  /// Oldest pending submit time across `shard_indices` (time_point::max()
-  /// when all are empty). Takes the shard locks one at a time in ascending
-  /// index order; the result is advisory — a concurrent popper may remove
-  /// the entry before the caller acts on it, which is why every deadline
-  /// derived from it goes through FlushDeadline and every sleep re-checks.
-  std::chrono::steady_clock::time_point OldestSubmitTimeOf(
-      const std::vector<size_t>& shard_indices) const;
-  /// Pops up to max_batch entries merged oldest-first across
-  /// `shard_indices`, holding all their locks (ascending index order) for
-  /// the merge, notifying space on every shard it popped from.
-  std::vector<Pending> CollectFromShards(
-      const std::vector<size_t>& shard_indices);
-  /// Worker collection policy: own shard group first; when the group is
-  /// empty, steal globally oldest-first across ALL shards. Returns empty
-  /// only when every shard was empty at the global sweep.
-  std::vector<Pending> CollectBatch(size_t worker);
+  /// Pops up to max_batch entries merged oldest-first across every
+  /// shard, holding all shard locks (ascending index order) for the
+  /// merge, notifying space on every shard it popped from. Empty only
+  /// when every shard was empty.
+  std::vector<Pending> PopOldest();
 
   struct PendingUpdate {
     EdgeUpdate update;
@@ -452,10 +444,6 @@ class QueryService {
   bool routes_supported_ = true;
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// group_shards_[w] = ascending shard indices owned by worker w
-  /// (s % flush_workers == w); all_shards_ = every index, for steals.
-  std::vector<std::vector<size_t>> group_shards_;
-  std::vector<size_t> all_shards_;
 
   /// The update lane: one unbounded queue beside the sharded query
   /// stripes, drained by the dedicated applier thread sleeping on
@@ -470,14 +458,15 @@ class QueryService {
 
   std::atomic<bool> stop_requested_{false};
   /// Total entries across all shard queues. Incremented inside the
-  /// submitter's shard critical section, decremented by CollectFromShards
-  /// while it holds its shard locks; the flush workers' sleep predicates
-  /// read it as a lock-free hint (a collect sweep is the authority).
+  /// submitter's shard critical section, decremented by PopOldest while
+  /// it holds every shard lock; the flush workers' sleep predicate reads
+  /// it as a lock-free hint (a PopOldest sweep is the authority).
   std::atomic<size_t> pending_{0};
 
-  /// The flush workers' doorbell: submitters ring it after enqueueing;
-  /// workers sleep here between micro-batches. Guards no data — the
-  /// predicates read the shard queues under their own locks.
+  /// The flush workers' doorbell: the submitter whose push makes pending_
+  /// non-empty rings it; workers sleep here while nothing is pending.
+  /// Guards no data — it only orders the predicate check against the
+  /// ring.
   mutable std::mutex flush_mutex_;
   std::condition_variable flush_cv_;
 

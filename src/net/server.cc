@@ -244,6 +244,12 @@ void Server::WriterLoop(Connection* conn) {
       case MessageType::kQueryResponse:
         try {
           payload = EncodeQueryResponse({reply.cost.get()});
+        } catch (const StatusError& e) {
+          // The backend could not evaluate this query (a storage read
+          // failed, say): its Status code goes on the wire as is.
+          type = MessageType::kError;
+          payload = EncodeErrorResponse(
+              {e.status().code(), e.status().message()});
         } catch (const std::out_of_range& e) {
           type = MessageType::kError;
           payload = EncodeErrorResponse({StatusCode::kOutOfRange, e.what()});

@@ -15,8 +15,9 @@
 //     backpressure to the client.
 //   - the WRITER owns the send side: it resolves futures in submission
 //     order and writes response frames. A future that resolves to an
-//     exception (validation failure, service shutdown) becomes a clean
-//     kError frame for that request id.
+//     exception (validation failure, storage failure, service shutdown)
+//     becomes a clean kError frame for that request id, with the code
+//     docs/PROTOCOL.md §3.5 assigns to the cause.
 //
 // Error-isolation contract (the hard one — see docs/ARCHITECTURE.md):
 //   - a request-level fault (undecodable payload, unknown message type,

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <optional>
 #include <thread>
 
@@ -249,6 +250,17 @@ void ExpectSameAnswers(const BatchResult& got, const BatchResult& want) {
   }
 }
 
+/// A database over `reference`'s fragmentation and complementary
+/// information whose chain-plan cache holds a single fragment pair, so
+/// every second pair evicts.
+std::unique_ptr<DsaDatabase> TinyCacheDatabase(const DsaDatabase& reference) {
+  EpochCarryover carry;
+  carry.complementary = reference.complementary();
+  carry.plan_cache = std::make_unique<ChainPlanCache>(1);
+  return std::make_unique<DsaDatabase>(&reference.fragmentation(),
+                                       reference.options(), std::move(carry));
+}
+
 TEST(BatchPlanCache, CapacityOneChurnsButStaysCorrect) {
   PlanCacheFixture fx;
   const std::vector<Query> queries = fx.MakeQueries(200);
@@ -256,13 +268,11 @@ TEST(BatchPlanCache, CapacityOneChurnsButStaysCorrect) {
   DsaDatabase reference_db(&*fx.frag);
   const BatchResult want = BatchExecutor(&reference_db).Execute(queries);
 
-  DsaOptions opts;
-  opts.plan_cache_capacity = 1;  // every second fragment pair evicts
-  DsaDatabase db(&*fx.frag, opts);
-  const BatchResult got = BatchExecutor(&db).Execute(queries);
+  const std::unique_ptr<DsaDatabase> db = TinyCacheDatabase(reference_db);
+  const BatchResult got = BatchExecutor(db.get()).Execute(queries);
 
   ExpectSameAnswers(got, want);
-  const LruCacheStats stats = db.plan_cache()->Stats();
+  const LruCacheStats stats = db->plan_cache()->Stats();
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_LE(stats.entries, 1u);
   // Per-batch accounting must agree with the cache's cumulative counters.
@@ -277,10 +287,8 @@ TEST(BatchPlanCache, ConcurrentBatchesRacingOnTinyCache) {
   DsaDatabase reference_db(&*fx.frag);
   const BatchResult want = BatchExecutor(&reference_db).Execute(queries);
 
-  DsaOptions opts;
-  opts.plan_cache_capacity = 1;
-  DsaDatabase db(&*fx.frag, opts);
-  BatchExecutor executor(&db);
+  const std::unique_ptr<DsaDatabase> db = TinyCacheDatabase(reference_db);
+  BatchExecutor executor(db.get());
 
   constexpr size_t kThreads = 4;
   constexpr size_t kRounds = 6;
@@ -305,15 +313,17 @@ TEST(BatchPlanCache, ConcurrentBatchesRacingOnTinyCache) {
 
   // Hit/miss accounting stays consistent under the race: every batch's
   // counters sum to the cache's cumulative lookup count, dedup counts are
-  // scheduling-independent, and the capacity bound holds.
+  // scheduling-independent, evictions happened, and the capacity bound
+  // holds.
   size_t batch_lookups = 0;
   for (const BatchStats& s : stats) {
     EXPECT_EQ(s.subqueries_executed, want.stats.subqueries_executed);
     EXPECT_EQ(s.subqueries_requested, want.stats.subqueries_requested);
     batch_lookups += s.plan_cache_hits + s.plan_cache_misses;
   }
-  const LruCacheStats cache_stats = db.plan_cache()->Stats();
+  const LruCacheStats cache_stats = db->plan_cache()->Stats();
   EXPECT_EQ(cache_stats.hits + cache_stats.misses, batch_lookups);
+  EXPECT_GT(cache_stats.evictions, 0u);
   EXPECT_LE(cache_stats.entries, 1u);
 }
 

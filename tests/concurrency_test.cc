@@ -198,7 +198,6 @@ TEST(Concurrency, ServiceHammerManyProducers) {
 
   ServiceOptions opts;
   opts.max_batch = 16;
-  opts.max_wait = std::chrono::microseconds(200);
   opts.queue_capacity = 64;  // small: backpressure is part of the hammer
   QueryService service(fx.db.get(), opts);
 
@@ -260,7 +259,6 @@ TEST(Concurrency, ShardedAdmissionHammerAcrossShardCounts) {
     for (size_t shards : {1, 4, 8}) {
       ServiceOptions opts;
       opts.max_batch = 16;
-      opts.max_wait = std::chrono::microseconds(200);
       opts.queue_capacity = 32;  // small: backpressure on every stripe
       opts.admission_shards = shards;
       opts.flush_workers = workers;
@@ -368,7 +366,6 @@ TEST(Concurrency, ServiceShutdownRacesSubmitters) {
 
   ServiceOptions opts;
   opts.max_batch = 8;
-  opts.max_wait = std::chrono::microseconds(100);
   QueryService service(fx.db.get(), opts);
 
   std::atomic<size_t> mismatches{0};

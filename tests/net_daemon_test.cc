@@ -211,6 +211,67 @@ TEST_F(DaemonTest, BadEndpointFailsOnlyItsOwnReply) {
   EXPECT_TRUE(client->Ping().ok());  // connection survives
 }
 
+/// Backend that fails every query from kIOErrorNode with an IOError, as a
+/// paged database does when a page fails its checksum, and answers the
+/// rest with from + to.
+class IOErrorBackend : public ServiceBackend {
+ public:
+  static constexpr NodeId kIOErrorNode = 13;
+
+  std::vector<Result<Weight>> ExecuteBatch(
+      const std::vector<Query>& queries) override {
+    std::vector<Result<Weight>> costs;
+    for (const Query& q : queries) {
+      if (q.from == kIOErrorNode) {
+        costs.push_back(Status::IOError("page 3: checksum mismatch"));
+      } else {
+        costs.push_back(static_cast<Weight>(q.from) +
+                        static_cast<Weight>(q.to));
+      }
+    }
+    return costs;
+  }
+};
+
+TEST(DaemonErrorCodes, StorageFailureReachesTheClientAsIOError) {
+  // A query whose storage read fails is answered with io-error, not with
+  // the shutdown code, and its neighbors on the connection are answered.
+  IOErrorBackend backend;
+  QueryService service(&backend);
+  Server server(&service);
+  ASSERT_TRUE(server.Start().ok());
+  Result<std::unique_ptr<Client>> connected =
+      Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  std::unique_ptr<Client> client = std::move(connected).value();
+
+  auto good1 = client->SubmitShortestPath(1, 2);
+  auto bad = client->SubmitShortestPath(IOErrorBackend::kIOErrorNode, 2);
+  auto good2 = client->SubmitShortestPath(4, 5);
+
+  Result<Weight> first = good1.get();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_DOUBLE_EQ(first.value(), 3.0);
+  Result<Weight> failed = bad.get();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kIOError)
+      << failed.status().ToString();
+  EXPECT_EQ(failed.status().message(), "page 3: checksum mismatch");
+  Result<Weight> second = good2.get();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_DOUBLE_EQ(second.value(), 9.0);
+
+  // The connection keeps streaming.
+  EXPECT_TRUE(client->Ping().ok());
+  Result<Weight> after = client->ShortestPathCost(6, 7);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_DOUBLE_EQ(after.value(), 13.0);
+
+  client->Close();
+  server.Stop();
+  service.Shutdown();
+}
+
 TEST_F(DaemonTest, UnknownMessageTypeFailsOnlyThatRequest) {
   // Speak the framing by hand: an unknown type must produce a kError
   // echoing the request id, and the connection keeps working.

@@ -1,12 +1,14 @@
 // Tests for the streaming admission layer (dsa/service.h): answers match a
-// Floyd–Warshall min-plus oracle element-wise, micro-batches flush on size
-// and on the max_wait time window, the bounded queue rejects TrySubmit when
-// full, Shutdown drains every admitted query (and wakes submitters blocked
-// on backpressure), the sharded admission path and the parallel flush pool
-// keep ServiceStats totals scheduling-independent across shard and worker
-// counts (with elapsed_seconds frozen by the last worker to drain), and
-// the backend seam serves both the in-process database and the
-// message-passing SiteNetwork.
+// Floyd–Warshall min-plus oracle element-wise, an idle flush worker runs a
+// lone query at once while a backlog runs in batches of max_batch, a
+// backend Status fails only its own query's future and keeps its code, the
+// bounded queue rejects TrySubmit when full, Shutdown drains every
+// admitted query (and wakes submitters blocked on backpressure), the
+// sharded admission path and the parallel flush pool keep ServiceStats
+// totals scheduling-independent across shard and worker counts (with
+// elapsed_seconds frozen by the last worker to drain), and the backend
+// seam serves both the in-process database and the message-passing
+// SiteNetwork.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -91,7 +93,6 @@ TEST(QueryService, AnswersMatchWarshallOracle) {
   Fixture fx(301);
   ServiceOptions opts;
   opts.max_batch = 16;
-  opts.max_wait = std::chrono::microseconds(500);
   QueryService service(fx.db.get(), opts);
 
   const std::vector<Query> queries = fx.Workload(300, 7);
@@ -117,7 +118,8 @@ TEST(QueryService, AnswersMatchWarshallOracle) {
 TEST(QueryService, SubmitBatchKeepsPerQueryFutures) {
   Fixture fx(302);
   QueryService service(fx.db.get());
-  const std::vector<Query> queries = fx.Workload(120, 8);
+  std::vector<Query> queries = fx.Workload(120, 8);
+  queries.push_back({11, 11, QueryKind::kCost});  // from == to: cost 0
   std::vector<std::future<Weight>> futures = service.SubmitBatch(queries);
   ASSERT_EQ(futures.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -125,65 +127,32 @@ TEST(QueryService, SubmitBatchKeepsPerQueryFutures) {
   }
 }
 
-TEST(QueryService, FlushesOnBatchSize) {
-  Fixture fx(303);
-  ServiceOptions opts;
-  opts.max_batch = 8;
-  opts.max_wait = std::chrono::seconds(10);  // only size can flush
-  opts.flush_workers = 1;  // exact batch shapes: one popper, no splitting
-  QueryService service(fx.db.get(), opts);
-
-  const std::vector<Query> queries = fx.Workload(64, 9);
-  std::vector<std::future<Weight>> futures = service.SubmitBatch(queries);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ExpectOracle(fx, queries[i].from, queries[i].to, futures[i].get());
-  }
-  service.Shutdown();
-
-  const ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.completed, 64u);
-  EXPECT_EQ(stats.batches, 8u);
-  EXPECT_DOUBLE_EQ(stats.batch_fill.Min(), 8.0);
-  EXPECT_DOUBLE_EQ(stats.batch_fill.Max(), 8.0);
-}
-
-TEST(QueryService, FlushesOnTimeWindow) {
-  Fixture fx(304);
-  ServiceOptions opts;
-  opts.max_batch = 1000;  // size can never flush
-  opts.max_wait = std::chrono::milliseconds(2);
-  QueryService service(fx.db.get(), opts);
-
-  std::vector<std::future<Weight>> futures;
-  futures.push_back(service.SubmitShortestPath(0, 5));
-  futures.push_back(service.SubmitShortestPath(3, 17));
-  futures.push_back(service.SubmitShortestPath(11, 11));
-  ExpectOracle(fx, 0, 5, futures[0].get());
-  ExpectOracle(fx, 3, 17, futures[1].get());
-  EXPECT_DOUBLE_EQ(futures[2].get(), 0.0);
-
-  const ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.completed, 3u);
-  EXPECT_GE(stats.batches, 1u);
-  EXPECT_LE(stats.MeanBatchFill(), 3.0);
-}
-
 /// Backend stub whose ExecuteBatch blocks on a gate — makes queue-full
-/// states deterministic and exercises the backend seam with a third,
-/// test-only implementation.
+/// and backlog states deterministic and exercises the backend seam with a
+/// third, test-only implementation. Answers from + to, except that a query
+/// from kIOErrorNode fails with an IOError, the way a paged database fails
+/// a query whose page read fails.
 class GatedBackend : public ServiceBackend {
  public:
+  static constexpr NodeId kIOErrorNode = 99;
+
   std::vector<Result<Weight>> ExecuteBatch(
       const std::vector<Query>& queries) override {
     {
       std::unique_lock<std::mutex> lock(mutex_);
+      batch_sizes_.push_back(queries.size());
       executing_ = true;
       cv_.notify_all();
       cv_.wait(lock, [this]() { return released_; });
     }
     std::vector<Result<Weight>> costs;
     for (const Query& q : queries) {
-      costs.push_back(static_cast<Weight>(q.from) + static_cast<Weight>(q.to));
+      if (q.from == kIOErrorNode) {
+        costs.push_back(Status::IOError("page 7: checksum mismatch"));
+      } else {
+        costs.push_back(static_cast<Weight>(q.from) +
+                        static_cast<Weight>(q.to));
+      }
     }
     return costs;
   }
@@ -199,20 +168,112 @@ class GatedBackend : public ServiceBackend {
     }
     cv_.notify_all();
   }
+  /// Query count of every batch executed so far, in execution order.
+  std::vector<size_t> BatchSizes() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return batch_sizes_;
+  }
 
  private:
   std::mutex mutex_;
   std::condition_variable cv_;
   bool executing_ = false;
   bool released_ = false;
+  std::vector<size_t> batch_sizes_;
 };
+
+/// `n` distinct cost queries i -> i + 1 (GatedBackend answers 2i + 1).
+std::vector<Query> DistinctQueries(size_t n) {
+  std::vector<Query> queries;
+  for (NodeId i = 0; i < n; ++i) {
+    queries.push_back({i, i + 1, QueryKind::kCost});
+  }
+  return queries;
+}
+
+TEST(QueryService, IdleWorkerRunsALoneQueryAtOnce) {
+  // An idle worker flushes at once: nothing waits for company, so a lone
+  // query on an idle service is answered even with an hour-long max_wait,
+  // which the service no longer reads.
+  GatedBackend backend;
+  backend.Release();
+  ServiceOptions opts;
+  opts.max_wait = std::chrono::hours(1);
+  opts.flush_workers = 1;
+  QueryService service(&backend, opts);
+
+  std::future<Weight> lone = service.SubmitShortestPath(1, 2);
+  ASSERT_EQ(lone.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  EXPECT_DOUBLE_EQ(lone.get(), 3.0);
+  service.Shutdown();
+  EXPECT_EQ(backend.BatchSizes(), std::vector<size_t>{1});
+}
+
+TEST(QueryService, FlushesOnBatchSize) {
+  // Queries coalesce exactly while the worker is busy: 20 queries admitted
+  // behind a gated batch run as batches of max_batch once it opens.
+  GatedBackend backend;
+  ServiceOptions opts;
+  opts.max_batch = 8;
+  opts.flush_workers = 1;  // exact batch shapes: one popper, no splitting
+  QueryService service(&backend, opts);
+
+  std::future<Weight> running = service.SubmitShortestPath(0, 1);
+  backend.WaitUntilExecuting();
+  const std::vector<Query> backlog = DistinctQueries(20);
+  std::vector<std::future<Weight>> futures = service.SubmitBatch(backlog);
+  backend.Release();
+
+  EXPECT_DOUBLE_EQ(running.get(), 1.0);
+  for (size_t i = 0; i < backlog.size(); ++i) {
+    EXPECT_DOUBLE_EQ(futures[i].get(), 2.0 * i + 1.0) << "query " << i;
+  }
+  service.Shutdown();
+
+  EXPECT_EQ(backend.BatchSizes(), (std::vector<size_t>{1, 8, 8, 4}));
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.completed, 21u);
+  EXPECT_EQ(stats.batches, 4u);
+  EXPECT_DOUBLE_EQ(stats.batch_fill.Min(), 1.0);
+  EXPECT_DOUBLE_EQ(stats.batch_fill.Max(), 8.0);
+}
+
+TEST(QueryService, BackendStatusFailsOnlyItsOwnFuture) {
+  // A query the backend answers with a Status fails its own future with a
+  // StatusError that keeps the code; its batch-mates are answered.
+  GatedBackend backend;
+  ServiceOptions opts;
+  opts.flush_workers = 1;  // the three queued queries form one batch
+  QueryService service(&backend, opts);
+
+  std::future<Weight> running = service.SubmitShortestPath(0, 1);
+  backend.WaitUntilExecuting();
+  std::vector<std::future<Weight>> futures = service.SubmitBatch(
+      {{1, 2, QueryKind::kCost},
+       {GatedBackend::kIOErrorNode, 3, QueryKind::kCost},
+       {4, 5, QueryKind::kCost}});
+  backend.Release();
+
+  EXPECT_DOUBLE_EQ(running.get(), 1.0);
+  EXPECT_DOUBLE_EQ(futures[0].get(), 3.0);
+  try {
+    futures[1].get();
+    ADD_FAILURE() << "the failed query's future carried a value";
+  } catch (const StatusError& e) {
+    EXPECT_EQ(e.status().code(), StatusCode::kIOError);
+    EXPECT_EQ(e.status().message(), "page 7: checksum mismatch");
+  }
+  EXPECT_DOUBLE_EQ(futures[2].get(), 9.0);
+  service.Shutdown();
+  EXPECT_EQ(backend.BatchSizes(), (std::vector<size_t>{1, 3}));
+}
 
 TEST(QueryService, TrySubmitRejectsWhenQueueFull) {
   GatedBackend backend;
   ServiceOptions opts;
   opts.max_batch = 1;
   opts.queue_capacity = 2;
-  opts.max_wait = std::chrono::microseconds(0);
   // One flush worker: a second worker would pull a queued query into the
   // gate too and free the slot this test needs to stay full.
   opts.flush_workers = 1;
@@ -238,21 +299,33 @@ TEST(QueryService, TrySubmitRejectsWhenQueueFull) {
 }
 
 TEST(QueryService, ShutdownDrainsQueuedQueries) {
-  Fixture fx(305);
+  // A Shutdown() called while queries wait behind a busy worker must
+  // drain every one of them, not drop them.
+  GatedBackend backend;
   ServiceOptions opts;
-  opts.max_batch = 1000;                  // size never flushes...
-  opts.max_wait = std::chrono::seconds(10);  // ...and neither does time
-  QueryService service(fx.db.get(), opts);
+  opts.max_batch = 8;
+  opts.flush_workers = 1;
+  QueryService service(&backend, opts);
 
-  const std::vector<Query> queries = fx.Workload(20, 10);
-  std::vector<std::future<Weight>> futures = service.SubmitBatch(queries);
-  service.Shutdown();  // must drain, not drop
+  std::future<Weight> running = service.SubmitShortestPath(0, 1);
+  backend.WaitUntilExecuting();
+  const std::vector<Query> queued = DistinctQueries(20);
+  std::vector<std::future<Weight>> futures = service.SubmitBatch(queued);
+  std::thread stopper([&]() { service.Shutdown(); });
+  while (!service.IsShuttingDown()) std::this_thread::yield();
+  backend.Release();
+  stopper.join();
 
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ExpectOracle(fx, queries[i].from, queries[i].to, futures[i].get());
+  EXPECT_DOUBLE_EQ(running.get(), 1.0);
+  for (size_t i = 0; i < queued.size(); ++i) {
+    ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(0)),
+              std::future_status::ready)
+        << "query " << i << " was not drained";
+    EXPECT_DOUBLE_EQ(futures[i].get(), 2.0 * i + 1.0) << "query " << i;
   }
   const ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.completed, 20u);
+  EXPECT_EQ(stats.submitted, 21u);
+  EXPECT_EQ(stats.completed, 21u);
   // Elapsed time is frozen at drain end.
   EXPECT_DOUBLE_EQ(stats.elapsed_seconds, service.Stats().elapsed_seconds);
 }
@@ -280,7 +353,6 @@ TEST(QueryService, ShardSweepTotalsAreSchedulingIndependent) {
   for (size_t shards : {1, 4, 8}) {
     ServiceOptions opts;
     opts.max_batch = 32;
-    opts.max_wait = std::chrono::microseconds(300);
     opts.admission_shards = shards;
     QueryService service(fx.db.get(), opts);
     ASSERT_EQ(service.num_shards(), shards);
@@ -335,7 +407,6 @@ TEST(QueryService, FlushWorkerGridTotalsAreSchedulingIndependent) {
     for (size_t shards : {1, 4, 8}) {
       ServiceOptions opts;
       opts.max_batch = 16;
-      opts.max_wait = std::chrono::microseconds(200);
       opts.admission_shards = shards;
       opts.flush_workers = workers;
       QueryService service(fx.db.get(), opts);
@@ -386,7 +457,6 @@ TEST(QueryService, StatsAreFrozenAfterShutdownUnderParallelFlush) {
   Fixture fx(314);
   ServiceOptions opts;
   opts.max_batch = 8;
-  opts.max_wait = std::chrono::microseconds(200);
   opts.flush_workers = 4;
   opts.admission_shards = 4;
   QueryService service(fx.db.get(), opts);
@@ -419,7 +489,6 @@ TEST(QueryService, ShutdownWakesSubmitterBlockedOnFullQueue) {
   ServiceOptions opts;
   opts.max_batch = 1;
   opts.queue_capacity = 1;
-  opts.max_wait = std::chrono::microseconds(0);
   opts.admission_shards = 1;  // one stripe: the blocked path is forced
   opts.flush_workers = 1;     // one popper: the gate holds the only worker
   QueryService service(&backend, opts);
@@ -472,7 +541,6 @@ TEST(QueryService, SingleShardMatchesDefaultShardingAnswers) {
     ServiceOptions opts;
     opts.admission_shards = shards;
     opts.max_batch = 16;
-    opts.max_wait = std::chrono::microseconds(200);
     QueryService service(fx.db.get(), opts);
     std::vector<std::future<Weight>> futures = service.SubmitBatch(queries);
     for (size_t i = 0; i < queries.size(); ++i) {
@@ -522,7 +590,6 @@ TEST(QueryService, LatencySampleCapBoundsStoredSamples) {
   Fixture fx(311);
   ServiceOptions opts;
   opts.max_batch = 8;
-  opts.max_wait = std::chrono::microseconds(100);
   opts.latency_sample_cap = 32;
   QueryService service(fx.db.get(), opts);
 
@@ -545,7 +612,6 @@ TEST(QueryService, SiteNetworkBackendMatchesOracle) {
   SiteNetworkBackend backend(&net);
   ServiceOptions opts;
   opts.max_batch = 32;
-  opts.max_wait = std::chrono::microseconds(500);
   QueryService service(&backend, opts);
 
   const std::vector<Query> queries = fx.Workload(80, 11);
@@ -575,7 +641,6 @@ TEST(QueryService, OpenLoopArrivalsUniformAndBursty) {
 
     ServiceOptions opts;
     opts.max_batch = 16;
-    opts.max_wait = std::chrono::microseconds(200);
     QueryService service(fx.db.get(), opts);
 
     const auto start = std::chrono::steady_clock::now();

@@ -193,7 +193,6 @@ TEST_P(UpdateDifferentialSweep, ServiceAnswersMatchOverlappedEpoch) {
 
   ServiceOptions service_options;
   service_options.max_batch = 8;
-  service_options.max_wait = std::chrono::microseconds(200);
   QueryService service(&mdb, service_options);
 
   // Epoch -> graph log, fed by the mutators as their update futures

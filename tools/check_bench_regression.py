@@ -10,7 +10,9 @@ directory form the gate uses the per-metric **median of the last k runs**
 real regression hide behind it. Only throughput series — metric keys ending
 in ``_qps`` — are gated: the job fails when any of them regresses by more
 than ``--threshold`` (default 25%) below the rolling median. Non-throughput
-metrics and improvements are reported but never fail the job.
+metrics and improvements are reported but never fail the job, and so is a
+baseline ``*_qps`` key the current run no longer records (a retired
+series shows as a "retired" info row instead of silently leaving the gate).
 
 Baselines are keyed per **runner class** (``cpu<N>`` for N hardware
 threads): throughput measured on a 2-core runner is not a valid baseline
@@ -141,13 +143,19 @@ def main():
         elif not gated(key):
             status = "info"
         rows.append((key, base, cur, f"{change:+.1%} {status}"))
+    retired = sorted({key for b in baselines for key in b["metrics"]
+                      if gated(key) and key not in current["metrics"]})
+    for key in retired:
+        rows.append((key, rolling_median(baselines, key), None,
+                     "retired info"))
 
     width = max(len(r[0]) for r in rows) if rows else 10
     print(f"{name}: current vs rolling median of {len(baselines)} "
           f"{runner_class} run(s) (gate: *_qps within {args.threshold:.0%})")
     for key, base, cur, status in rows:
         base_s = "-" if base is None else f"{base:12.1f}"
-        print(f"  {key:<{width}}  {base_s:>12} -> {cur:12.1f}  {status}")
+        cur_s = "-" if cur is None else f"{cur:12.1f}"
+        print(f"  {key:<{width}}  {base_s:>12} -> {cur_s:>12}  {status}")
 
     summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
     if summary_path:
@@ -159,7 +167,8 @@ def main():
             f.write("|---|---|---|---|\n")
             for key, base, cur, status in rows:
                 base_s = "-" if base is None else f"{base:.1f}"
-                f.write(f"| `{key}` | {base_s} | {cur:.1f} | {status} |\n")
+                cur_s = "-" if cur is None else f"{cur:.1f}"
+                f.write(f"| `{key}` | {base_s} | {cur_s} | {status} |\n")
             f.write("\n")
 
     for key, base, cur, change in failures:
