@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <unordered_map>
 
 #include "graph/algorithms.h"
 #include "util/timer.h"
@@ -251,6 +250,82 @@ Status PlanResultsStatus(const QueryPlan& plan,
   return Status::OK();
 }
 
+/// A node a chain sweep reached after a hop: its cheapest cost from the
+/// query's source, and the index in the previous layer of the relay that
+/// cost came through.
+struct Reached {
+  NodeId node = 0;
+  Weight cost = 0.0;
+  uint32_t pred = 0;
+};
+
+/// Per-thread sweep state, reused by every chain the thread assembles.
+/// layers[i] holds the nodes reached after hop i - 1 (layers[0] is the
+/// query's source); slot_of[v] is v's index in the layer being built iff
+/// slot_stamp[v] == stamp.
+struct SweepScratch {
+  std::vector<std::vector<Reached>> layers;
+  std::vector<uint32_t> slot_of;
+  std::vector<uint64_t> slot_stamp;
+  uint64_t stamp = 0;
+};
+
+SweepScratch& ThreadSweepScratch() {
+  thread_local SweepScratch scratch;
+  return scratch;
+}
+
+/// The min-plus frontier sweep over one chain, `hops` indexing its
+/// phase-1 results in chain order: layer i + 1 keeps, per node, the
+/// cheapest layer-i cost plus a hop-i tuple cost. These are AssembleChain's
+/// additions in its order, so the cost at `to` is bit-identical to the
+/// fold's BestCost(from, to), and the relaxations of hops after the first,
+/// added to `*relaxations`, are the fold's join tuples. Returns `to`'s
+/// entry in the last layer (valid until the next sweep on this thread), or
+/// null when the chain does not connect.
+const Reached* SweepChain(const std::vector<size_t>& hops,
+                          const std::vector<LocalQueryResult>& results,
+                          NodeId from, NodeId to, SweepScratch& s,
+                          size_t* relaxations) {
+  if (s.layers.size() <= hops.size()) s.layers.resize(hops.size() + 1);
+  s.layers[0].assign(1, Reached{from, 0.0, 0});
+  for (size_t i = 0; i < hops.size(); ++i) {
+    // Phase-1 results are resident and canonically sorted, so a relay's
+    // tuples are one binary search away.
+    const std::vector<PathTuple>& tuples = results[hops[i]].paths.tuples();
+    const std::vector<Reached>& frontier = s.layers[i];
+    std::vector<Reached>& next = s.layers[i + 1];
+    next.clear();
+    ++s.stamp;
+    for (uint32_t j = 0; j < frontier.size(); ++j) {
+      const Reached& x = frontier[j];
+      auto t = std::lower_bound(
+          tuples.begin(), tuples.end(), x.node,
+          [](const PathTuple& a, NodeId v) { return a.src < v; });
+      for (; t != tuples.end() && t->src == x.node; ++t) {
+        // The fold starts from hop 0's own costs.
+        const Weight cost = i == 0 ? t->cost : x.cost + t->cost;
+        if (t->dst >= s.slot_of.size()) {
+          s.slot_of.resize(t->dst + 1);
+          s.slot_stamp.resize(t->dst + 1, 0);
+        }
+        if (s.slot_stamp[t->dst] != s.stamp) {
+          s.slot_stamp[t->dst] = s.stamp;
+          s.slot_of[t->dst] = static_cast<uint32_t>(next.size());
+          next.push_back(Reached{t->dst, cost, j});
+        } else if (Reached& y = next[s.slot_of[t->dst]]; cost < y.cost) {
+          y.cost = cost;
+          y.pred = j;
+        }
+        if (i > 0) ++*relaxations;
+      }
+    }
+    if (next.empty()) return nullptr;
+  }
+  if (to >= s.slot_of.size() || s.slot_stamp[to] != s.stamp) return nullptr;
+  return &s.layers[hops.size()][s.slot_of[to]];
+}
+
 }  // namespace
 
 Relation AssembleChain(const std::vector<const Relation*>& chain_results,
@@ -280,18 +355,22 @@ QueryAnswer AssembleCostAnswer(const Fragmentation& frag,
   answer.status = PlanResultsStatus(plan, results);
   if (!answer.status.ok()) return answer;
 
-  // Assemble each chain; the overall best is the answer.
-  for (size_t c = 0; c < plan.chains.size(); ++c) {
-    std::vector<const Relation*> hop_results;
-    hop_results.reserve(plan.chain_specs[c].size());
-    for (size_t idx : plan.chain_specs[c]) {
-      hop_results.push_back(&results[idx].paths);
+  // Sweep each chain; the overall best is the answer.
+  WallTimer timer;
+  SweepScratch& s = ThreadSweepScratch();
+  size_t relaxations = 0;
+  for (const std::vector<size_t>& hops : plan.chain_specs) {
+    const Reached* reached = SweepChain(hops, results, from, to, s,
+                                        &relaxations);
+    if (reached != nullptr && reached->cost < answer.cost) {
+      answer.cost = reached->cost;
     }
-    Relation final = AssembleChain(hop_results, report);
-    const Weight cost = final.BestCost(from, to);
-    if (cost < answer.cost) answer.cost = cost;
   }
   answer.connected = answer.cost != kInfinity;
+  if (report != nullptr) {
+    report->assembly_join_tuples += relaxations;
+    report->assembly_seconds += timer.ElapsedSeconds();
+  }
   return answer;
 }
 
@@ -310,43 +389,29 @@ RouteAnswer AssembleRouteAnswer(const Fragmentation& frag,
   if (!out.answer.status.ok()) return out;
   WallTimer timer;
 
-  // Dynamic program over each chain's relay layers, keeping predecessors.
-  // Layers: {from}, DS_1, ..., DS_{m-1}, {to}; hop i's relation connects
-  // layer i to layer i+1.
+  // The cost sweep over each chain's relay layers — {from}, DS_1, ...,
+  // DS_{m-1}, {to} — keeping the winning chain's relay sequence.
+  SweepScratch& s = ThreadSweepScratch();
+  size_t relaxations = 0;
   size_t best_chain = 0;
   Weight best_cost = kInfinity;
   std::vector<NodeId> best_relays;  // relay node at each layer boundary
   for (size_t c = 0; c < plan.chains.size(); ++c) {
-    const auto& hop_specs = plan.chain_specs[c];
-    std::unordered_map<NodeId, Weight> dist = {{from, 0.0}};
-    std::vector<std::unordered_map<NodeId, NodeId>> pred(hop_specs.size());
-    for (size_t i = 0; i < hop_specs.size(); ++i) {
-      const Relation& rel = results[hop_specs[i]].paths;
-      std::unordered_map<NodeId, Weight> next;
-      rel.ForEach([&](const PathTuple& t) {
-        auto it = dist.find(t.src);
-        if (it == dist.end()) return;
-        const Weight d = it->second + t.cost;
-        auto [slot, inserted] = next.emplace(t.dst, d);
-        if (inserted || d < slot->second) {
-          slot->second = d;
-          pred[i][t.dst] = t.src;
-        }
-      });
-      dist = std::move(next);
-    }
-    auto it = dist.find(to);
-    if (it == dist.end() || it->second >= best_cost) continue;
-    best_cost = it->second;
+    const std::vector<size_t>& hops = plan.chain_specs[c];
+    const Reached* reached = SweepChain(hops, results, from, to, s,
+                                        &relaxations);
+    if (reached == nullptr || reached->cost >= best_cost) continue;
+    best_cost = reached->cost;
     best_chain = c;
-    // Backtrack the relay sequence from..to.
-    std::vector<NodeId> relays(hop_specs.size() + 1);
-    relays.back() = to;
-    for (size_t i = hop_specs.size(); i-- > 0;) {
-      relays[i] = pred[i].at(relays[i + 1]);
+    // Backtrack the relay sequence from..to through the predecessors.
+    best_relays.assign(hops.size() + 1, to);
+    best_relays.front() = from;
+    for (size_t i = hops.size() - 1, k = reached->pred; i > 0; --i) {
+      best_relays[i] = s.layers[i][k].node;
+      k = s.layers[i][k].pred;
     }
-    best_relays = std::move(relays);
   }
+  if (report != nullptr) report->assembly_join_tuples += relaxations;
 
   out.answer.cost = best_cost;
   out.answer.connected = best_cost != kInfinity;

@@ -1,8 +1,9 @@
 // Phase orchestration of the disconnection set approach: run the per-site
 // subqueries in parallel ("neither communication nor synchronization is
-// required during the first phase"), then assemble the answer with "a
-// sequence of binary joins between a number of very small relations"
-// (Sec. 2.1), accounting for the communication the final phase causes.
+// required during the first phase"), then assemble the answer from "a
+// number of very small relations" (Sec. 2.1) — the paper's sequence of
+// binary joins, computed as one min-plus sweep per chain — accounting for
+// the communication the final phase causes.
 //
 // This header is the *re-entrant execution core* shared by the single-query
 // API (dsa/query_api.h) and the batch executor (dsa/batch.h): planning
@@ -175,15 +176,22 @@ std::vector<LocalQueryResult> RunSites(const Fragmentation& frag,
                                        ExecutionReport* report);
 
 /// Left-fold min-plus join over a chain's local results; returns the final
-/// small relation. Join statistics are added to `report`.
+/// small relation. Join statistics are added to `report`. The paper's
+/// "sequence of binary joins", kept for PHE; the chain assemblers below
+/// compute the same costs without materializing relations.
 Relation AssembleChain(const std::vector<const Relation*>& chain_results,
                        ExecutionReport* report);
 
 /// Assembles the shortest-path cost answer from phase-1 results, where
-/// `results[i]` answers `specs`' i-th subquery. Handles the empty-plan
-/// (disconnected fragments) case; `from == to` must be short-circuited by
-/// the caller. Only reads shared state, so concurrent assembly of
-/// different queries over one results vector is safe.
+/// `results[i]` answers `specs`' i-th subquery as RunLocalQuery returns it
+/// (resident, canonically sorted). Each chain is one min-plus frontier
+/// sweep: from `from`, hop by hop, the cheapest cost per reached node, in
+/// per-thread scratch — AssembleChain's additions in its order, so the
+/// cost is bit-identical to its fold's BestCost(from, to) and
+/// `assembly_join_tuples` counts the same relaxations. Handles the
+/// empty-plan (disconnected fragments) case; `from == to` must be
+/// short-circuited by the caller. Only reads shared state, so concurrent
+/// assembly of different queries over one results vector is safe.
 QueryAnswer AssembleCostAnswer(const Fragmentation& frag,
                                const QueryPlan& plan,
                                const std::vector<LocalQuerySpec>& specs,
@@ -191,11 +199,11 @@ QueryAnswer AssembleCostAnswer(const Fragmentation& frag,
                                const std::vector<LocalQueryResult>& results,
                                ExecutionReport* report);
 
-/// Assembles the cost *and* the realizing route: a dynamic program over
-/// each chain's relay layers picks the winning chain and relay sequence,
-/// then each leg is re-expanded inside its fragment with shortcut hops
-/// replaced by their complementary witnesses. Same concurrency contract as
-/// AssembleCostAnswer.
+/// Assembles the cost *and* the realizing route: AssembleCostAnswer's
+/// sweep, keeping each reached node's predecessor, picks the winning chain
+/// and relay sequence, then each leg is re-expanded inside its fragment
+/// with shortcut hops replaced by their complementary witnesses. Same
+/// inputs and concurrency contract as AssembleCostAnswer.
 RouteAnswer AssembleRouteAnswer(const Fragmentation& frag,
                                 const ComplementaryInfo& complementary,
                                 const QueryPlan& plan,

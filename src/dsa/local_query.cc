@@ -78,14 +78,19 @@ LocalQueryResult RunRelational(const Fragmentation& frag,
   return result;
 }
 
+// Roles of a local id in the current subquery (bits of SearchScratch::role).
+constexpr uint8_t kSource = 1;
+constexpr uint8_t kTarget = 2;
+
 /// Per-thread search state, reused by every subquery the thread runs and
 /// grown to the largest fragment it has searched. Between searches `dist`
-/// is kInfinity except at the ids in `touched`, and `is_far` is set
-/// exactly at the ids in `far`; Clear() restores the all-cold state.
+/// is kInfinity except at the ids in `touched`, and `role` is non-zero
+/// only at the ids in `near` and `far`; Clear() restores the all-cold
+/// state.
 struct SearchScratch {
   std::vector<Weight> dist;
   std::vector<uint32_t> touched;
-  std::vector<uint8_t> is_far;
+  std::vector<uint8_t> role;   // kSource | kTarget of each local id
   std::vector<uint32_t> near;  // local ids the searches start from
   std::vector<uint32_t> far;   // local ids they must settle
   std::vector<std::pair<Weight, uint32_t>> heap;
@@ -123,7 +128,8 @@ struct SearchScratch {
   }
   void Clear() {
     ResetDistances();
-    for (uint32_t v : far) is_far[v] = 0;
+    for (uint32_t v : near) role[v] = 0;
+    for (uint32_t v : far) role[v] = 0;
     near.clear();
     far.clear();
   }
@@ -150,10 +156,10 @@ void Relax(const LocalCsr& csr, uint32_t v, Weight d, SearchScratch& s) {
 /// Dijkstra from local node `origin` over `graph` plus the shortcut
 /// `overlay` (null without complementary info), both in the search's
 /// direction. Ties pop in local-id order, which is global-id order. Stops
-/// as soon as every far-side node is settled; returns the number of nodes
-/// settled.
+/// as soon as every far-side node (role `far_role`) is settled; returns
+/// the number of nodes settled.
 size_t Search(const LocalCsr& graph, const LocalCsr* overlay,
-              uint32_t origin, SearchScratch& s) {
+              uint8_t far_role, uint32_t origin, SearchScratch& s) {
   s.dist[origin] = 0.0;
   s.touched.push_back(origin);
   s.heap.clear();
@@ -166,17 +172,20 @@ size_t Search(const LocalCsr& graph, const LocalCsr* overlay,
     s.heap.pop_back();
     if (d > s.dist[v]) continue;  // stale entry
     ++settled;
-    if (s.is_far[v] && --far_left == 0) break;
+    if ((s.role[v] & far_role) && --far_left == 0) break;
     Relax(graph, v, d, s);
     if (overlay != nullptr) Relax(*overlay, v, d, s);
   }
   return settled;
 }
 
-/// The Dijkstra engine: one search per node of the smaller keyhole side,
-/// on the fragment's local graph plus its shortcut relation streamed into
-/// a per-thread overlay (resident and paged stores alike, so a paged
-/// subquery pins only this fragment's extent, only while it is copied).
+/// The Dijkstra engine. A subquery between border nodes only is the
+/// selection of its fragment's shortcut relation; any other runs one
+/// search per node of the smaller keyhole side, on the fragment's local
+/// graph plus its shortcut relation streamed into a per-thread overlay.
+/// Either way the shortcut relation is streamed once, resident and paged
+/// stores alike, so a paged subquery pins only this fragment's extent,
+/// only while it is read.
 LocalQueryResult RunLocalSearch(const Fragmentation& frag,
                                 const ComplementaryInfo* complementary,
                                 const LocalQuerySpec& spec) {
@@ -188,25 +197,33 @@ LocalQueryResult RunLocalSearch(const Fragmentation& frag,
   s.Clear();
   if (s.dist.size() < n) {
     s.dist.resize(n, kInfinity);
-    s.is_far.resize(n, 0);
+    s.role.resize(n, 0);
   }
   s.MapFragment(nodes, frag.graph().NumNodes());
 
-  // Nodes outside the fragment reach nothing inside it.
-  auto to_local = [&](const NodeSet& ids, std::vector<uint32_t>* out) {
+  // Search from the smaller side: forward from each source, or backward
+  // from each target when there are fewer targets. Nodes outside the
+  // fragment reach nothing inside it.
+  const bool backward = spec.targets.size() < spec.sources.size();
+  bool all_border = true;
+  auto to_local = [&](const NodeSet& ids, uint8_t role,
+                      std::vector<uint32_t>* out) {
     for (NodeId v : ids) {
       const NodeId local = s.LocalOf(v);
-      if (local != kInvalidNode) out->push_back(local);
+      if (local == kInvalidNode) continue;
+      out->push_back(local);
+      s.role[local] |= role;
+      all_border = all_border && frag.IsBorderNode(v);
     }
   };
-  // Search from the smaller side: forward from each source, or backward
-  // from each target when there are fewer targets.
-  const bool backward = spec.targets.size() < spec.sources.size();
-  to_local(backward ? spec.targets : spec.sources, &s.near);
-  to_local(backward ? spec.sources : spec.targets, &s.far);
+  to_local(spec.sources, kSource, backward ? &s.far : &s.near);
+  to_local(spec.targets, kTarget, backward ? &s.near : &s.far);
   if (s.near.empty() || s.far.empty()) return result;
 
-  const LocalGraph& local = frag.LocalGraphOf(f);
+  // Between border nodes the shortcut relation is the answer: it holds
+  // (x, y, d*(x, y)) for every border pair of the fragment, and every path
+  // of the augmented fragment is a real path, so no search can beat d*.
+  const bool select_shortcuts = complementary != nullptr && all_border;
   const LocalCsr* overlay = nullptr;
   if (complementary != nullptr) {
     s.shortcut_arcs.clear();
@@ -217,9 +234,11 @@ LocalQueryResult RunLocalSearch(const Fragmentation& frag,
           const NodeId b = s.LocalOf(t.dst);
           if (a == kInvalidNode || b == kInvalidNode) {
             ++foreign;
-            return;
+          } else if (!select_shortcuts) {
+            s.shortcut_arcs.push_back(LocalArc{a, b, t.cost});
+          } else if ((s.role[a] & kSource) && (s.role[b] & kTarget)) {
+            result.paths.Add(t);
           }
-          s.shortcut_arcs.push_back(LocalArc{a, b, t.cost});
         });
     if (!read.ok()) {
       result.status = read;
@@ -231,14 +250,16 @@ LocalQueryResult RunLocalSearch(const Fragmentation& frag,
           std::to_string(foreign) + " tuples joining nodes outside it");
       return result;
     }
+    if (select_shortcuts) return result;
     BuildLocalCsr(n, s.shortcut_arcs, backward, &s.overlay);
     overlay = &s.overlay;
   }
 
-  for (uint32_t v : s.far) s.is_far[v] = 1;
+  const LocalGraph& local = frag.LocalGraphOf(f);
   const LocalCsr& graph = backward ? local.reverse : local.forward;
+  const uint8_t far_role = backward ? kSource : kTarget;
   for (uint32_t origin : s.near) {
-    result.stats.iterations += Search(graph, overlay, origin, s);
+    result.stats.iterations += Search(graph, overlay, far_role, origin, s);
     for (uint32_t v : s.far) {
       if (v == origin || s.dist[v] == kInfinity) continue;
       if (backward) {

@@ -15,19 +15,25 @@
 //     paper's database setting, with full workload statistics);
 //   - the Dijkstra engine runs graph search on the augmented fragment
 //     (the "any suitable single-processor algorithm may be chosen" remark).
-//     Its cost is O(fragment), not O(graph): it searches the fragment's
+//     Its cost is O(fragment), not O(graph). With complementary info, a
+//     subquery whose sources and targets (those inside the fragment) are
+//     all border nodes needs no search: the shortcut relation already
+//     holds d*(x, y) for every border pair, and no path of the augmented
+//     fragment is shorter, so the answer is the relation's selection on
+//     sources × targets. Every other subquery searches the fragment's
 //     LocalGraph (Fragmentation::LocalGraphOf, dense local ids, built once
-//     per snapshot) plus the fragment's shortcut relation, which every
-//     subquery streams into a per-thread overlay in local ids — resident
-//     and paged stores alike, so a paged database's memory budget is
-//     unchanged (nothing is cached outside the buffer pool). It searches
-//     from the smaller keyhole side: forward from each source, or backward
-//     from each target when there are fewer targets than sources. Each
-//     search stops as soon as every node on the far side is settled. Its
-//     distance, heap and overlay arrays are per-thread scratch sized to
-//     the largest fragment the thread has searched; global ids become
-//     local through a per-thread map with one entry per graph node, of
-//     which a subquery writes only its fragment's.
+//     per snapshot) plus the fragment's shortcut relation, streamed into a
+//     per-thread overlay in local ids. Both stream the shortcut relation
+//     once per subquery, resident and paged stores alike, so a paged
+//     database's memory budget is unchanged (nothing is cached outside the
+//     buffer pool). A search runs from the smaller keyhole side: forward
+//     from each source, or backward from each target when there are fewer
+//     targets than sources. Each search stops as soon as every node on the
+//     far side is settled. Its distance, heap and overlay arrays are
+//     per-thread scratch sized to the largest fragment the thread has
+//     searched; global ids become local through a per-thread map with one
+//     entry per graph node, of which a subquery writes only its
+//     fragment's.
 #pragma once
 
 #include "dsa/complementary.h"
@@ -55,7 +61,8 @@ struct LocalQueryResult {
   Relation paths;
   /// Workload statistics. The relational engines fill them all; Dijkstra
   /// fills only `iterations`, with the number of nodes its searches
-  /// settled before they stopped (summed over its searches), and
+  /// settled before they stopped (summed over its searches; 0 for a
+  /// border-to-border subquery answered from the shortcut relation), and
   /// `result_size`.
   TcStats stats;
   /// OK unless reading the (paged) shortcut relation failed; on failure

@@ -8,7 +8,8 @@
 //      fragmentation-graph work, so hot fragment pairs are enumerated once),
 //   3. running one independent subquery per fragment on the chain(s), in
 //      parallel, with the disconnection sets as keyhole selections,
-//   4. assembling the per-fragment answers with small binary joins.
+//   4. assembling the per-fragment answers: the min-plus fold of the
+//      paper's small binary joins, one frontier sweep per chain.
 //
 // A single query is a batch of one: ShortestPath and ShortestRoute run
 // through BatchExecutor (dsa/batch.h), the same planner and pipeline that

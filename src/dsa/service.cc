@@ -462,18 +462,22 @@ void QueryService::FlushWorkerLoop() {
 
     // Record stats BEFORE fulfilling the promises: a client that wakes
     // from future.get() and immediately snapshots Stats() must already
-    // see its own query counted.
+    // see its own query counted. Only answered queries are completed and
+    // timed; a failed one is counted apart.
     const auto done = std::chrono::steady_clock::now();
     std::vector<double> latencies;
     latencies.reserve(admitted.size());
-    for (const Pending& p : admitted) {
+    for (size_t i = 0; i < admitted.size(); ++i) {
+      if (!costs[i].ok()) continue;
       latencies.push_back(
-          std::chrono::duration<double>(done - p.submit_time).count());
+          std::chrono::duration<double>(done - admitted[i].submit_time)
+              .count());
     }
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.batches;
-      stats_.completed += admitted.size();
+      stats_.completed += latencies.size();
+      stats_.failed += admitted.size() - latencies.size();
       stats_.batch_fill.Add(static_cast<double>(admitted.size()));
       stats_.latency_seconds.AddAll(latencies);
     }

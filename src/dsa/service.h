@@ -238,14 +238,15 @@ struct ServiceOptions {
 struct ServiceStats {
   size_t submitted = 0;  // admitted into the queue
   size_t completed = 0;  // futures fulfilled with an answer
+  size_t failed = 0;     // futures failed with a backend StatusError
   size_t rejected = 0;   // TrySubmit refusals on a full shard
   size_t batches = 0;    // micro-batches executed
 
   size_t updates = 0;        // edge updates applied through the service
   size_t update_epochs = 0;  // maintenance epochs the applier thread ran
 
-  /// Per-query admission-to-answer latency, in seconds (sample storage
-  /// capped by ServiceOptions::latency_sample_cap).
+  /// Per-query admission-to-answer latency of completed queries, in
+  /// seconds (sample storage capped by ServiceOptions::latency_sample_cap).
   Accumulator latency_seconds;
   /// Per-update submit-to-publish latency, in seconds (same sample cap).
   Accumulator update_latency_seconds;
@@ -258,8 +259,9 @@ struct ServiceStats {
   /// identical regardless of worker scheduling).
   double elapsed_seconds = 0.0;
 
-  /// Sustained QUERY rate: completed queries per elapsed second. Updates
-  /// are deliberately excluded — they are a different operation with a
+  /// Sustained QUERY rate: completed (answered) queries per elapsed
+  /// second; failed queries are not throughput. Updates are deliberately
+  /// excluded — they are a different operation with a
   /// different cost; see SustainedUpdatesPerSec / SustainedOpsPerSec for
   /// mixed workloads.
   double SustainedQps() const {

@@ -109,7 +109,9 @@ std::vector<Weight> SiteNetwork::BatchShortestPathCosts(
   }
 
   // Final joins at the coordinator, query by query over the shared
-  // results — the same assembly as the in-process executor.
+  // results — the same assembly as the in-process executor (the site
+  // result codec keeps RunLocalQuery's canonical tuple order, which the
+  // assembly's binary searches rely on).
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     const auto [from, to] = queries[qi];
     if (from == to) {

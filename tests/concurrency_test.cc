@@ -426,9 +426,20 @@ TEST(Concurrency, PlanCacheUnderContention) {
   EXPECT_LE(stats.entries, 2u);
 }
 
+/// The first node of fragment f that is not a border node, or
+/// kInvalidNode when every node of f is one.
+NodeId FirstInteriorNode(const Fragmentation& frag, FragmentId f) {
+  for (NodeId v : frag.FragmentNodes(f)) {
+    if (!frag.IsBorderNode(v)) return v;
+  }
+  return kInvalidNode;
+}
+
 /// Phase-1 specs touching every fragment in both search directions: all
 /// border nodes to all border nodes, one node to the border (forward), and
-/// the border to one node (backward).
+/// the border to one node (backward). The lone node is an interior one
+/// where the fragment has any, so that both of its specs search; between
+/// border nodes only, a subquery reads the shortcut relation instead.
 std::vector<LocalQuerySpec> EveryFragmentSpecs(const Fragmentation& frag) {
   std::vector<LocalQuerySpec> specs;
   for (FragmentId f = 0; f < frag.NumFragments(); ++f) {
@@ -436,11 +447,23 @@ std::vector<LocalQuerySpec> EveryFragmentSpecs(const Fragmentation& frag) {
     const std::vector<NodeId>& border =
         frag.BorderNodes(f).empty() ? nodes : frag.BorderNodes(f);
     const NodeSet side(border.begin(), border.end());
+    const NodeId interior = FirstInteriorNode(frag, f);
+    const NodeId lone = interior != kInvalidNode ? interior : nodes.front();
     specs.push_back(LocalQuerySpec{f, side, side});
-    specs.push_back(LocalQuerySpec{f, {nodes.front()}, side});
-    specs.push_back(LocalQuerySpec{f, side, {nodes.back()}});
+    specs.push_back(LocalQuerySpec{f, {lone}, side});
+    specs.push_back(LocalQuerySpec{f, side, {lone}});
   }
   return specs;
+}
+
+/// Local graphs EveryFragmentSpecs builds: one per fragment with an
+/// interior node.
+size_t SearchedFragments(const Fragmentation& frag) {
+  size_t searched = 0;
+  for (FragmentId f = 0; f < frag.NumFragments(); ++f) {
+    searched += FirstInteriorNode(frag, f) != kInvalidNode;
+  }
+  return searched;
 }
 
 bool SameResult(const LocalQueryResult& a, const LocalQueryResult& b) {
@@ -464,8 +487,9 @@ std::vector<LocalQueryResult> RunAlone(
 
 TEST(Concurrency, ConcurrentFirstTouchBuildsEachLocalGraphOnce) {
   // Every thread's first subqueries land on a cold Fragmentation at once:
-  // the lazy local-graph build must run once per fragment, and every
-  // answer must equal a single-threaded run. Then the same across a
+  // the lazy local-graph build must run once per fragment that searches
+  // (this fixture's fragment 3 has border nodes only), and every answer
+  // must equal a single-threaded run. Then the same across a
   // published epoch, whose snapshot carries a new, cold Fragmentation.
   Fixture fx(105, /*cyclic=*/true);
   const Fragmentation& frag = *fx.frag;
@@ -473,6 +497,8 @@ TEST(Concurrency, ConcurrentFirstTouchBuildsEachLocalGraphOnce) {
   const ComplementaryInfo& comp = fx.db->complementary();
   const std::vector<LocalQuerySpec> specs = EveryFragmentSpecs(frag);
   const std::vector<LocalQueryResult> expected = RunAlone(frag, comp, specs);
+  const size_t searched = SearchedFragments(frag);
+  ASSERT_GT(searched, 1u);
 
   std::atomic<size_t> mismatches{0};
   std::atomic<bool> go{false};
@@ -491,7 +517,7 @@ TEST(Concurrency, ConcurrentFirstTouchBuildsEachLocalGraphOnce) {
   go.store(true, std::memory_order_release);
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0u);
-  EXPECT_EQ(frag.LocalGraphsBuilt(), frag.NumFragments());
+  EXPECT_EQ(frag.LocalGraphsBuilt(), searched);
 
   // Across an epoch: each thread runs one pass on whatever snapshot is
   // current while the epoch is being published, then one more after it.
@@ -539,7 +565,7 @@ TEST(Concurrency, ConcurrentFirstTouchBuildsEachLocalGraphOnce) {
       for (size_t k = 0; k < specs.size(); ++k) {
         EXPECT_TRUE(SameResult(pass.results[k], alone[k])) << "spec " << k;
       }
-      EXPECT_EQ(snap_frag.LocalGraphsBuilt(), snap_frag.NumFragments());
+      EXPECT_EQ(snap_frag.LocalGraphsBuilt(), SearchedFragments(snap_frag));
       on_new_epoch += pass.snap.epoch == epoch.epoch;
     }
   }

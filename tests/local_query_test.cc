@@ -1,13 +1,15 @@
 // Differential test of the Dijkstra phase-1 kernel: RunLocalQuery with
 // LocalEngine::kDijkstra (searches on the fragment's LocalGraph, from the
-// smaller keyhole side, stopping at the last far-side node) against a
-// reference that runs a whole-graph Dijkstra from every source on
-// BuildAugmentedFragment's graph — the engine's former implementation.
-// Specs of all four shapes (1×1, 1×T, S×1, S×T) are drawn for every
-// fragment of a center-based, a linear and a cyclic fragmentation of a
-// directed graph, with and without complementary info, on resident and
-// paged stores.
+// smaller keyhole side, stopping at the last far-side node; with
+// complementary info, a border-to-border subquery is the selection of the
+// shortcut relation) against a reference that runs a whole-graph Dijkstra
+// from every source on BuildAugmentedFragment's graph — the engine's
+// former implementation. Specs of all four shapes (1×1, 1×T, S×1, S×T) are
+// drawn for every fragment of a center-based, a linear and a cyclic
+// fragmentation of a directed graph, with and without complementary info,
+// on resident and paged stores.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -77,6 +79,36 @@ Reference RunReference(const Graph& augmented, const Fragmentation& frag,
   return ref;
 }
 
+/// True when every source and target of `spec` is a border node.
+bool AllBorder(const Fragmentation& frag, const LocalQuerySpec& spec) {
+  auto border = [&](const NodeSet& ids) {
+    return std::all_of(ids.begin(), ids.end(),
+                       [&](NodeId v) { return frag.IsBorderNode(v); });
+  };
+  return border(spec.sources) && border(spec.targets);
+}
+
+/// What a border-to-border spec must return: the fragment's shortcut
+/// tuples from a source to a target, plus the zero-cost pass-through of
+/// every node on both sides, canonically sorted.
+std::vector<PathTuple> ShortcutSelection(const ComplementaryInfo& comp,
+                                         const LocalQuerySpec& spec) {
+  Relation out;
+  const Status read = comp.ForFragment(spec.fragment)
+                          .ForEach([&](const PathTuple& t) {
+                            if (spec.sources.count(t.src) &&
+                                spec.targets.count(t.dst)) {
+                              out.Add(t);
+                            }
+                          });
+  EXPECT_TRUE(read.ok()) << read.ToString();
+  for (NodeId v : spec.sources) {
+    if (spec.targets.count(v)) out.Add(v, v, 0.0);
+  }
+  out.SortCanonical();
+  return out.tuples();
+}
+
 /// Draws `count` distinct nodes of fragment f, half of them (when it has
 /// any) from its border nodes — the disconnection-set nodes real specs
 /// use.
@@ -96,6 +128,7 @@ NodeSet DrawNodes(const Fragmentation& frag, FragmentId f, size_t count,
 
 struct SweepCounts {
   size_t specs = 0;
+  size_t shortcut_selections = 0;  // border-to-border, with complementary
   size_t backward = 0;
   size_t overlapping = 0;
   size_t unreachable_pairs = 0;
@@ -126,12 +159,15 @@ void SweepFragmentation(const Fragmentation& frag,
           spec.targets.insert(*spec.sources.begin());
         }
         const bool backward = spec.targets.size() < spec.sources.size();
+        const bool selection =
+            complementary != nullptr && AllBorder(frag, spec);
         const Reference ref = RunReference(augmented.value(), frag, spec);
         const LocalQueryResult got =
             RunLocalQuery(frag, complementary, spec, LocalEngine::kDijkstra);
         ASSERT_TRUE(got.status.ok()) << got.status.ToString();
 
         ++counts->specs;
+        counts->shortcut_selections += selection;
         counts->backward += backward;
         for (NodeId s : spec.sources) {
           counts->overlapping += spec.targets.count(s);
@@ -142,16 +178,23 @@ void SweepFragmentation(const Fragmentation& frag,
         ASSERT_EQ(got.paths.size(), ref.costs.size())
             << "fragment " << f << " spec " << num_sources << "x"
             << num_targets;
+        // A backward search, or the shortcut d*, sums a path in another
+        // order than the forward reference does: equal within rounding.
         for (const PathTuple& t : got.paths.tuples()) {
           const auto it = ref.costs.find({t.src, t.dst});
           ASSERT_NE(it, ref.costs.end()) << t.src << "->" << t.dst;
-          if (backward) {
+          if (backward || selection) {
             EXPECT_LE(std::abs(t.cost - it->second),
                       1e-12 * std::abs(it->second))
                 << t.src << "->" << t.dst;
           } else {
             EXPECT_EQ(t.cost, it->second) << t.src << "->" << t.dst;
           }
+        }
+        if (selection) {
+          EXPECT_EQ(got.paths.tuples(),
+                    ShortcutSelection(*complementary, spec));
+          EXPECT_EQ(got.stats.iterations, 0u);
         }
         EXPECT_LE(got.stats.iterations, ref.settled);
         EXPECT_EQ(got.stats.result_size, ref.costs.size());
@@ -209,10 +252,85 @@ TEST_F(LocalKernelTest, MatchesWholeGraphDijkstraOnAugmentedFragment) {
     }
   }
   // The sweep exercised what it claims to.
+  EXPECT_GT(counts.shortcut_selections, 0u);
+  EXPECT_LT(counts.shortcut_selections, counts.specs);
   EXPECT_GT(counts.backward, 0u);
   EXPECT_LT(counts.backward, counts.specs);
   EXPECT_GT(counts.overlapping, 0u);
   EXPECT_GT(counts.unreachable_pairs, 0u);
+}
+
+/// The border-to-border specs chains produce in each fragment: every
+/// ordered pair of its disconnection sets (the same one twice included),
+/// and all its border nodes to all of them.
+std::vector<LocalQuerySpec> BorderPairSpecs(const Fragmentation& frag) {
+  std::vector<LocalQuerySpec> specs;
+  for (FragmentId f = 0; f < frag.NumFragments(); ++f) {
+    std::vector<NodeSet> sides;
+    for (FragmentId g : frag.FragmentNeighbors(f)) {
+      const std::vector<NodeId>& ds = frag.FindDisconnectionSet(f, g)->nodes;
+      sides.emplace_back(ds.begin(), ds.end());
+    }
+    const std::vector<NodeId>& border = frag.BorderNodes(f);
+    sides.emplace_back(border.begin(), border.end());
+    for (const NodeSet& in : sides) {
+      for (const NodeSet& out : sides) {
+        specs.push_back(LocalQuerySpec{f, in, out});
+      }
+    }
+  }
+  return specs;
+}
+
+TEST(LocalKernel, BorderPairSubqueriesReadTheShortcutRelation) {
+  // A subquery between border nodes is answered by one pass over the
+  // fragment's shortcut relation: no local graph, no search. Without
+  // complementary info the same subquery still searches.
+  const Graph g = MakeDirectedGraph(53);
+  const std::string path = ::testing::TempDir() + "local_query_border_" +
+                           std::to_string(::getpid()) + ".tcfdb";
+  const std::pair<const char*, Fragmenter> cases[] = {
+      {"center", Fragmenter::kCenter},
+      {"linear", Fragmenter::kLinear},
+      {"cyclic", Fragmenter::kRandom}};
+  for (const auto& [name, which] : cases) {
+    SCOPED_TRACE(name);
+    const Fragmentation frag = MakeFragmentation(g, which, 5);
+    const DsaDatabase db(&frag);
+    SaveOptions save;
+    save.page_size = kMinPageSize;
+    ASSERT_TRUE(SaveDatabase(db, path, save).ok());
+    OpenOptions paged;
+    paged.mode = OpenMode::kPaged;
+    paged.memory_budget_bytes = 4 * kMinPageSize;
+    Result<StoredDatabase> opened = OpenDatabase(path, paged);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    const ComplementaryInfo& paged_comp = opened.value().db->complementary();
+    ASSERT_TRUE(paged_comp.shortcuts.front().is_paged());
+
+    const std::vector<LocalQuerySpec> specs = BorderPairSpecs(frag);
+    ASSERT_FALSE(specs.empty());
+    for (const ComplementaryInfo* comp : {&db.complementary(), &paged_comp}) {
+      const Fragmentation cold(comp == &paged_comp ? *opened.value().frag
+                                                   : frag);
+      size_t selected = 0;
+      for (const LocalQuerySpec& spec : specs) {
+        const LocalQueryResult got = RunLocalQuery(cold, comp, spec);
+        ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+        EXPECT_EQ(got.paths.tuples(), ShortcutSelection(*comp, spec));
+        EXPECT_EQ(got.stats.iterations, 0u);
+        selected += got.paths.size();
+      }
+      EXPECT_GT(selected, specs.size());
+      EXPECT_EQ(cold.LocalGraphsBuilt(), 0u);
+
+      for (const LocalQuerySpec& spec : specs) {
+        EXPECT_GT(RunLocalQuery(cold, nullptr, spec).stats.iterations, 0u);
+      }
+      EXPECT_EQ(cold.LocalGraphsBuilt(), cold.NumFragments());
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(LocalKernel, NodesOutsideTheFragmentYieldNoTuples) {
@@ -276,8 +394,16 @@ TEST(LocalKernel, ShortcutOutsideTheFragmentFailsTheSubquery) {
   spec.fragment = 0;
   spec.sources = {inside};
   spec.targets = {frag.FragmentNodes(0).back()};
-  const LocalQueryResult r = RunLocalQuery(frag, &bad, spec);
-  EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(RunLocalQuery(frag, &bad, spec).status.code(),
+            StatusCode::kInvalidArgument);
+
+  // A border-to-border subquery reads the same relation without a search.
+  const std::vector<NodeId>& border = frag.BorderNodes(0);
+  ASSERT_FALSE(border.empty());
+  spec.sources = NodeSet(border.begin(), border.end());
+  spec.targets = spec.sources;
+  EXPECT_EQ(RunLocalQuery(frag, &bad, spec).status.code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -267,6 +267,12 @@ TEST(QueryService, BackendStatusFailsOnlyItsOwnFuture) {
   EXPECT_DOUBLE_EQ(futures[2].get(), 9.0);
   service.Shutdown();
   EXPECT_EQ(backend.BatchSizes(), (std::vector<size_t>{1, 3}));
+  // A failed query is not throughput: it is counted apart and not timed.
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.submitted, 4u);
+  EXPECT_EQ(stats.completed, 3u);
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.latency_seconds.count(), 3u);
 }
 
 TEST(QueryService, TrySubmitRejectsWhenQueueFull) {
