@@ -1,5 +1,5 @@
 // Streaming admission latency/throughput (see docs/ARCHITECTURE.md,
-// admission layer). Three sections over the Table 1 transportation
+// admission layer). Four sections over the Table 1 transportation
 // workload:
 //
 //   1. streaming vs naive — N client threads stream the uniform workload
@@ -13,16 +13,10 @@
 //   3. open-loop arrivals — uniform vs bursty arrival processes at a fixed
 //      offered rate: burstiness deepens micro-batch fill at the same mean
 //      rate.
-//   4. shard scaling — the sharded admission path (ServiceOptions::
-//      admission_shards) swept over submitter counts {1, 2, 4, 8, 16} x
-//      shard counts {1, 4, 8}: striping the admission queues takes the
-//      global mutex off the submit path, so the win grows with submitter
-//      concurrency. The acceptance bar: shards=8 beats the single-queue
-//      baseline at 16 submitters.
-//   5. flush-worker scaling — the parallel flush pipeline
-//      (ServiceOptions::flush_workers) swept over submitters x
-//      flush-workers {1, 2, 4} x shards: concurrent micro-batch execution
-//      on a re-entrant backend. The acceptance bar (gated only where the
+//   4. flush-worker scaling — the parallel flush pipeline
+//      (ServiceOptions::flush_workers) swept over submitters {4, 16} x
+//      flush-workers {1, 2, 4}: concurrent micro-batch execution on a
+//      re-entrant backend. The acceptance bar (gated only where the
 //      hardware can show it): workers=4 sustains >= 1.5x the workers=1
 //      qps at 16 submitters on a machine with >= 4 hardware threads.
 //
@@ -243,69 +237,9 @@ void OpenLoopArrivals(const Fragmentation& frag, size_t num_queries,
   std::printf("\n");
 }
 
-void ShardScalingSweep(const Fragmentation& frag, size_t num_queries,
-                       JsonMetrics* metrics) {
-  const size_t n = std::min<size_t>(num_queries, 8000);
-  const std::vector<Query> queries = UniformWorkload(frag, n, 55);
-  constexpr size_t kClients[] = {1, 2, 4, 8, 16};
-  constexpr size_t kShards[] = {1, 4, 8};
-  std::printf(
-      "shard scaling: uniform mix, %zu queries, closed loop "
-      "(submitters x admission_shards)\n",
-      n);
-  TablePrinter table({"clients", "shards=1 q/s", "shards=4 q/s",
-                      "shards=8 q/s", "8-shard speedup"});
-
-  double qps_16_clients_1_shard = 0.0;
-  double qps_16_clients_8_shards = 0.0;
-  for (size_t clients : kClients) {
-    std::vector<double> qps_by_shards;
-    for (size_t shards : kShards) {
-      // Best of three: closed-loop runs at high submitter counts are
-      // scheduler-noisy, and the sweep compares cells against each other.
-      double qps = 0.0;
-      for (int repeat = 0; repeat < 3; ++repeat) {
-        DsaDatabase db(&frag);
-        ServiceOptions opts;
-        opts.max_batch = 256;
-        opts.admission_shards = shards;
-        QueryService service(&db, opts);
-        const LoadResult run =
-            DriveClosedLoop(&service, queries, clients, 32);
-        service.Shutdown();
-        qps = std::max(qps, static_cast<double>(n) / run.wall_seconds);
-      }
-      qps_by_shards.push_back(qps);
-      // Deliberately NOT named *_qps: the per-cell numbers are closed-loop
-      // runs at up to 16 threads on noisy shared runners, so they are
-      // recorded for the baseline artifact but kept out of the hard CI
-      // perf gate (which keys on the _qps suffix).
-      metrics->Set("shard_sweep/clients_" + std::to_string(clients) +
-                       "_shards_" + std::to_string(shards) + "_throughput",
-                   qps);
-      if (clients == 16 && shards == 1) qps_16_clients_1_shard = qps;
-      if (clients == 16 && shards == 8) qps_16_clients_8_shards = qps;
-    }
-    table.AddRow({std::to_string(clients),
-                  TablePrinter::Fmt(qps_by_shards[0], 0),
-                  TablePrinter::Fmt(qps_by_shards[1], 0),
-                  TablePrinter::Fmt(qps_by_shards[2], 0),
-                  TablePrinter::Fmt(qps_by_shards[2] / qps_by_shards[0], 2) +
-                      "x"});
-  }
-  table.Print();
-  const double speedup = qps_16_clients_1_shard == 0.0
-                             ? 0.0
-                             : qps_16_clients_8_shards /
-                                   qps_16_clients_1_shard;
-  std::printf("16-submitter speedup, 8 shards vs single queue: %.2fx\n\n",
-              speedup);
-  metrics->Set("shard_sweep/speedup_16_clients_8_vs_1", speedup);
-}
-
-/// Section 5: submitters x flush_workers x admission_shards. Returns false
-/// only when `gate` is set, the machine has >= 4 hardware threads, and the
-/// workers=4-vs-1 speedup misses the 1.5x bar.
+/// Section 4: submitters x flush_workers. Returns false only when `gate`
+/// is set, the machine has >= 4 hardware threads, and the workers=4-vs-1
+/// speedup misses the 1.5x bar.
 bool FlushWorkerSweep(const Fragmentation& frag, size_t num_queries,
                       JsonMetrics* metrics, bool gate) {
   const size_t n = std::min<size_t>(num_queries, 8000);
@@ -313,65 +247,57 @@ bool FlushWorkerSweep(const Fragmentation& frag, size_t num_queries,
   const unsigned hardware = std::thread::hardware_concurrency();
   constexpr size_t kSubmitters[] = {4, 16};
   constexpr size_t kWorkers[] = {1, 2, 4};
-  constexpr size_t kShards[] = {1, 8};
   std::printf(
       "flush-worker scaling: uniform mix, %zu queries, closed loop "
-      "(submitters x flush_workers x admission_shards), %u hardware "
-      "threads\n",
+      "(submitters x flush_workers), %u hardware threads\n",
       n, hardware);
-  TablePrinter table({"submitters", "shards", "workers=1 q/s",
-                      "workers=2 q/s", "workers=4 q/s", "4v1 speedup"});
+  TablePrinter table({"submitters", "workers=1 q/s", "workers=2 q/s",
+                      "workers=4 q/s", "4v1 speedup"});
 
-  double qps_16sub_8sh_w1 = 0.0;
-  double qps_16sub_8sh_w4 = 0.0;
+  double qps_16sub_w1 = 0.0;
+  double qps_16sub_w4 = 0.0;
   for (size_t submitters : kSubmitters) {
-    for (size_t shards : kShards) {
-      std::vector<double> qps_by_workers;
-      for (size_t workers : kWorkers) {
-        // Best of three, like the shard sweep: cells compare against each
-        // other and closed-loop runs are scheduler-noisy.
-        double qps = 0.0;
-        for (int repeat = 0; repeat < 3; ++repeat) {
-          DsaDatabase db(&frag);
-          ServiceOptions opts;
-          opts.max_batch = 256;
-          opts.admission_shards = shards;
-          opts.flush_workers = workers;
-          QueryService service(&db, opts);
-          const LoadResult run =
-              DriveClosedLoop(&service, queries, submitters, 32);
-          service.Shutdown();
-          qps = std::max(qps, static_cast<double>(n) / run.wall_seconds);
-        }
-        qps_by_workers.push_back(qps);
-        // Not *_qps-keyed: per-cell numbers stay out of the rolling-median
-        // gate (same policy as the shard sweep); the explicit
-        // --gate-flush-speedup bar below is the enforcement point.
-        metrics->Set("flush_sweep/sub_" + std::to_string(submitters) +
-                         "_workers_" + std::to_string(workers) + "_shards_" +
-                         std::to_string(shards) + "_throughput",
-                     qps);
-        if (submitters == 16 && shards == 8) {
-          if (workers == 1) qps_16sub_8sh_w1 = qps;
-          if (workers == 4) qps_16sub_8sh_w4 = qps;
-        }
+    std::vector<double> qps_by_workers;
+    for (size_t workers : kWorkers) {
+      // Best of three: cells compare against each other and closed-loop
+      // runs at up to 16 threads are scheduler-noisy.
+      double qps = 0.0;
+      for (int repeat = 0; repeat < 3; ++repeat) {
+        DsaDatabase db(&frag);
+        ServiceOptions opts;
+        opts.max_batch = 256;
+        opts.flush_workers = workers;
+        QueryService service(&db, opts);
+        const LoadResult run =
+            DriveClosedLoop(&service, queries, submitters, 32);
+        service.Shutdown();
+        qps = std::max(qps, static_cast<double>(n) / run.wall_seconds);
       }
-      table.AddRow({std::to_string(submitters), std::to_string(shards),
-                    TablePrinter::Fmt(qps_by_workers[0], 0),
-                    TablePrinter::Fmt(qps_by_workers[1], 0),
-                    TablePrinter::Fmt(qps_by_workers[2], 0),
-                    TablePrinter::Fmt(
-                        qps_by_workers[2] / qps_by_workers[0], 2) +
-                        "x"});
+      qps_by_workers.push_back(qps);
+      // Deliberately NOT named *_qps: the per-cell numbers are recorded
+      // for the baseline artifact but kept out of the rolling-median CI
+      // gate (which keys on the _qps suffix); the explicit
+      // --gate-flush-speedup bar below is the enforcement point.
+      metrics->Set("flush_sweep/sub_" + std::to_string(submitters) +
+                       "_workers_" + std::to_string(workers) + "_throughput",
+                   qps);
+      if (submitters == 16) {
+        if (workers == 1) qps_16sub_w1 = qps;
+        if (workers == 4) qps_16sub_w4 = qps;
+      }
     }
+    table.AddRow({std::to_string(submitters),
+                  TablePrinter::Fmt(qps_by_workers[0], 0),
+                  TablePrinter::Fmt(qps_by_workers[1], 0),
+                  TablePrinter::Fmt(qps_by_workers[2], 0),
+                  TablePrinter::Fmt(qps_by_workers[2] / qps_by_workers[0], 2) +
+                      "x"});
   }
   table.Print();
-  const double speedup = qps_16sub_8sh_w1 == 0.0
-                             ? 0.0
-                             : qps_16sub_8sh_w4 / qps_16sub_8sh_w1;
-  std::printf(
-      "16-submitter speedup, 4 flush workers vs 1 (8 shards): %.2fx\n\n",
-      speedup);
+  const double speedup =
+      qps_16sub_w1 == 0.0 ? 0.0 : qps_16sub_w4 / qps_16sub_w1;
+  std::printf("16-submitter speedup, 4 flush workers vs 1: %.2fx\n\n",
+              speedup);
   metrics->Set("flush_sweep/speedup_workers4_vs_1", speedup);
   metrics->Set("flush_sweep/hardware_threads",
                static_cast<double>(hardware));
@@ -379,8 +305,7 @@ bool FlushWorkerSweep(const Fragmentation& frag, size_t num_queries,
   if (gate && hardware >= 4 && speedup < 1.5) {
     std::fprintf(stderr,
                  "FAIL: flush-worker speedup %.2fx < 1.50x bar "
-                 "(workers=4 vs 1 at 16 submitters, 8 shards, %u hardware "
-                 "threads)\n",
+                 "(workers=4 vs 1 at 16 submitters, %u hardware threads)\n",
                  speedup, hardware);
     return false;
   }
@@ -421,7 +346,6 @@ int main(int argc, char** argv) {
   LatencyVsThroughput(frag, std::min<size_t>(num_queries, 4000), clients,
                       &metrics);
   OpenLoopArrivals(frag, num_queries, &metrics);
-  ShardScalingSweep(frag, num_queries, &metrics);
   const bool flush_ok =
       FlushWorkerSweep(frag, num_queries, &metrics, gate_flush_speedup);
 

@@ -1,6 +1,7 @@
 #include "dsa/service.h"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -104,10 +105,6 @@ std::vector<Result<Weight>> SiteNetworkBackend::ExecuteBatch(
 
 namespace {
 
-size_t ClampShards(size_t requested) {
-  return std::clamp<size_t>(requested, 1, 256);
-}
-
 size_t ClampFlushWorkers(size_t requested) {
   if (requested == 0) {
     requested = std::max(1u, std::thread::hardware_concurrency());
@@ -145,39 +142,23 @@ QueryService::QueryService(ServiceBackend* backend, ServiceOptions options)
 void QueryService::Start() {
   TCF_CHECK(options_.max_batch > 0);
   TCF_CHECK(options_.queue_capacity > 0);
-  options_.admission_shards = ClampShards(options_.admission_shards);
   options_.flush_workers = ClampFlushWorkers(options_.flush_workers);
-  shards_.resize(options_.admission_shards);
-  for (auto& shard : shards_) shard = std::make_unique<Shard>();
 
-  stats_.latency_seconds = Accumulator(options_.latency_sample_cap);
-  stats_.update_latency_seconds = Accumulator(options_.latency_sample_cap);
-  stats_.batch_fill = Accumulator(options_.latency_sample_cap);
+  stats_.latency_seconds = Accumulator(kServiceSampleCap);
+  stats_.update_latency_seconds = Accumulator(kServiceSampleCap);
+  stats_.batch_fill = Accumulator(kServiceSampleCap);
   start_time_ = std::chrono::steady_clock::now();
 
-  const size_t workers = options_.flush_workers;
-  const bool updates = backend_->SupportsUpdates();
-  live_flushers_.store(static_cast<int>(workers) + (updates ? 1 : 0),
-                       std::memory_order_relaxed);
-  flush_threads_.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) {
+  flush_threads_.reserve(options_.flush_workers);
+  for (size_t w = 0; w < options_.flush_workers; ++w) {
     flush_threads_.emplace_back([this]() { FlushWorkerLoop(); });
   }
-  if (updates) {
+  if (backend_->SupportsUpdates()) {
     update_thread_ = std::thread([this]() { UpdateLoop(); });
   }
 }
 
 QueryService::~QueryService() { Shutdown(); }
-
-QueryService::Shard& QueryService::ShardForThisThread() {
-  // Per-client (thread) affinity: one client's queries stay FIFO within
-  // its stripe and two clients contend only on a hash collision. Thread
-  // ids hash poorly on common standard libraries (they are pointers or
-  // small integers), so finish with a full-avalanche mix.
-  const size_t raw = std::hash<std::thread::id>{}(std::this_thread::get_id());
-  return *shards_[PairKeyHash{}(static_cast<uint64_t>(raw)) % shards_.size()];
-}
 
 std::optional<std::future<Weight>> QueryService::Admit(Query query,
                                                        bool blocking) {
@@ -202,47 +183,29 @@ std::optional<std::future<Weight>> QueryService::Admit(Query query,
     }
   }
 
-  Shard& shard = ShardForThisThread();
-  bool ring = false;
   {
-    std::unique_lock<std::mutex> lock(shard.mutex);
+    std::unique_lock<std::mutex> lock(mutex_);
     if (blocking) {
-      shard.space_cv.wait(lock, [&]() {
-        return shard.queue.size() < options_.queue_capacity || shard.stopping;
+      space_cv_.wait(lock, [this]() {
+        return queue_.size() < options_.queue_capacity || stopping_;
       });
-      if (shard.stopping) {
+      if (stopping_) {
         pending.promise.set_exception(std::make_exception_ptr(
             std::runtime_error("QueryService is shut down")));
         return future;
       }
     } else {
-      if (shard.stopping) return std::nullopt;
-      if (shard.queue.size() >= options_.queue_capacity) {
-        ++shard.rejected;
+      if (stopping_) return std::nullopt;
+      if (queue_.size() >= options_.queue_capacity) {
+        ++rejected_;
         return std::nullopt;
       }
     }
-    shard.queue.push_back(std::move(pending));
-    ++shard.submitted;
-    ring = pending_.fetch_add(1, std::memory_order_relaxed) == 0;
+    queue_.push_back(std::move(pending));
+    ++submitted_;
   }
-  if (ring) RingDoorbell();
+  work_cv_.notify_one();
   return future;
-}
-
-void QueryService::RingDoorbell() {
-  // The empty critical section is what makes the notify reliable: flush
-  // workers evaluate their sleep predicate while holding flush_mutex_, so
-  // the notify cannot land inside a check-then-sleep window. Only the
-  // submitter whose push made the total pending count non-empty rings: a
-  // worker sleeps only after reading the count as zero, and a busy worker
-  // reads it again before sleeping, so every other submit touches no
-  // global state beyond one atomic increment. notify_all, not notify_one:
-  // the count may be far past one by the time a worker pops, and every
-  // idle worker may take a share of that burst; a worker that wakes to
-  // an empty backlog goes back to sleep on the predicate.
-  { std::lock_guard<std::mutex> doorbell(flush_mutex_); }
-  flush_cv_.notify_all();
 }
 
 std::future<Weight> QueryService::SubmitShortestPath(NodeId from, NodeId to) {
@@ -289,114 +252,65 @@ std::future<uint64_t> QueryService::SubmitUpdate(EdgeUpdate update) {
   }
 
   {
-    std::lock_guard<std::mutex> lock(update_mutex_);
-    if (updates_stopping_) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (stopping_) {
       pending.promise.set_exception(std::make_exception_ptr(
           std::runtime_error("QueryService is shut down")));
       return future;
     }
     update_queue_.push_back(std::move(pending));
   }
-  // Updates wake their own applier thread and never ring the query
-  // doorbell; workers pick up the published epoch at their next batch
-  // boundary.
   update_cv_.notify_one();
   return future;
 }
 
 void QueryService::Shutdown() {
-  // Stop the update lane first (mirroring the shard-flag protocol below):
-  // an update admitted under `updates_stopping_ == false` is ordered
-  // before this flag flip by update_mutex_, so the applier's final drain
-  // sees it before exiting.
+  // Set under the admission lock: a query or update admitted under
+  // `stopping_ == false` is ordered before this flip, so the final drains
+  // see it. Submitters blocked on a full queue are woken and rejected
+  // instead of deadlocking.
   {
-    std::lock_guard<std::mutex> lock(update_mutex_);
-    updates_stopping_ = true;
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
   }
+  space_cv_.notify_all();
+  work_cv_.notify_all();
   update_cv_.notify_all();
-  // Flag every shard under its own lock FIRST: a submitter that pushed
-  // after reading `stopping == false` is ordered before this sweep by the
-  // shard mutex, and the sweep is ordered before the release-store of
-  // stop_requested_ — so when a flush worker acquires the flag and
-  // drains, every admitted entry is visible to it. Submitters blocked on
-  // a full shard are woken here and rejected instead of deadlocking.
-  for (auto& shard : shards_) {
-    {
-      std::lock_guard<std::mutex> lock(shard->mutex);
-      shard->stopping = true;
-    }
-    shard->space_cv.notify_all();
-  }
-  stop_requested_.store(true, std::memory_order_release);
-  { std::lock_guard<std::mutex> doorbell(flush_mutex_); }
-  flush_cv_.notify_all();
   // join() exactly once even when Shutdown races itself (it is documented
-  // thread-safe like every other public method).
+  // thread-safe like every other public method); a racing caller returns
+  // only after the joins, with the clock frozen.
   std::call_once(join_once_, [this]() {
     for (std::thread& t : flush_threads_) t.join();
     if (update_thread_.joinable()) update_thread_.join();
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    stop_time_ = std::chrono::steady_clock::now();
   });
 }
 
 ServiceStats QueryService::Stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  ServiceStats snapshot = stats_;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> shard_lock(shard->mutex);
-    snapshot.submitted += shard->submitted;
-    snapshot.rejected += shard->rejected;
+  ServiceStats snapshot;
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    snapshot = stats_;
+    const auto end = stop_time_.value_or(std::chrono::steady_clock::now());
+    snapshot.elapsed_seconds =
+        std::chrono::duration<double>(end - start_time_).count();
   }
-  const auto end = stopped_ ? stop_time_ : std::chrono::steady_clock::now();
-  snapshot.elapsed_seconds =
-      std::chrono::duration<double>(end - start_time_).count();
+  // Read after the answered counts, so that no snapshot shows more
+  // queries answered than admitted.
+  std::lock_guard<std::mutex> lock(mutex_);
+  snapshot.submitted = submitted_;
+  snapshot.rejected = rejected_;
   return snapshot;
-}
-
-std::vector<QueryService::Pending> QueryService::PopOldest() {
-  std::vector<Pending> admitted;
-
-  // Hold every shard lock for the merge, acquired in ascending shard-index
-  // order (see the Shard lock-order comment for why concurrent sweeps
-  // cannot deadlock): entries are popped oldest-first across all shards,
-  // which is the single-queue admission order, so no stripe can starve
-  // under overload.
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards_.size());
-  for (auto& shard : shards_) locks.emplace_back(shard->mutex);
-
-  std::vector<bool> popped(shards_.size(), false);
-  while (admitted.size() < options_.max_batch) {
-    size_t best = shards_.size();
-    auto best_time = std::chrono::steady_clock::time_point::max();
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      const auto& queue = shards_[s]->queue;
-      if (!queue.empty() && queue.front().submit_time < best_time) {
-        best_time = queue.front().submit_time;
-        best = s;
-      }
-    }
-    if (best == shards_.size()) break;  // every shard empty
-    auto& queue = shards_[best]->queue;
-    admitted.push_back(std::move(queue.front()));
-    queue.pop_front();
-    popped[best] = true;
-  }
-  pending_.fetch_sub(admitted.size(), std::memory_order_relaxed);
-
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    locks[s].unlock();
-    if (popped[s]) shards_[s]->space_cv.notify_all();
-  }
-  return admitted;
 }
 
 void QueryService::UpdateLoop() {
   for (;;) {
     std::vector<PendingUpdate> pending;
     {
-      std::unique_lock<std::mutex> lock(update_mutex_);
+      std::unique_lock<std::mutex> lock(mutex_);
       update_cv_.wait(lock, [this]() {
-        return updates_stopping_ || !update_queue_.empty();
+        return stopping_ || !update_queue_.empty();
       });
       if (update_queue_.empty()) break;  // stopping, and fully drained
       pending.swap(update_queue_);
@@ -425,34 +339,23 @@ void QueryService::UpdateLoop() {
     }
     for (PendingUpdate& p : pending) p.promise.set_value(epoch);
   }
-  if (live_flushers_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stopped_ = true;
-    stop_time_ = std::chrono::steady_clock::now();
-  }
 }
 
 void QueryService::FlushWorkerLoop() {
   for (;;) {
-    bool stopping = false;
+    std::vector<Pending> admitted;
     {
-      std::unique_lock<std::mutex> lock(flush_mutex_);
-      flush_cv_.wait(lock, [this]() {
-        return stop_requested_.load(std::memory_order_acquire) ||
-               pending_.load(std::memory_order_relaxed) > 0;
-      });
-      stopping = stop_requested_.load(std::memory_order_acquire);
+      std::unique_lock<std::mutex> lock(mutex_);
+      work_cv_.wait(lock, [this]() { return stopping_ || !queue_.empty(); });
+      if (queue_.empty()) break;  // stopping, and fully drained
+      const auto end =
+          queue_.begin() + static_cast<std::ptrdiff_t>(
+                               std::min(queue_.size(), options_.max_batch));
+      admitted.assign(std::make_move_iterator(queue_.begin()),
+                      std::make_move_iterator(end));
+      queue_.erase(queue_.begin(), end);
     }
-
-    // The stop flag is read BEFORE the sweep: once it reads true,
-    // Shutdown() has flagged every shard, so no admission can land after
-    // this sweep and an empty one means the drain is complete. (Read after
-    // an empty sweep, the flag could cover a query admitted in between.)
-    std::vector<Pending> admitted = PopOldest();
-    if (admitted.empty()) {
-      if (stopping) break;
-      continue;  // another worker popped first
-    }
+    space_cv_.notify_all();
 
     std::vector<Query> batch;
     batch.reserve(admitted.size());
@@ -493,14 +396,6 @@ void QueryService::FlushWorkerLoop() {
             std::make_exception_ptr(StatusError(costs[i].status())));
       }
     }
-  }
-  // The LAST flush-role thread out (worker or update applier) freezes the
-  // service clock, so post-Shutdown Stats() reads one stable
-  // elapsed_seconds regardless of which worker drained the final batch.
-  if (live_flushers_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stopped_ = true;
-    stop_time_ = std::chrono::steady_clock::now();
   }
 }
 

@@ -7,38 +7,36 @@
 // subquery deduplication, the per-batch plan memo, and the skeleton cache
 // of the batch executor without any client knowing about batching.
 //
-// The admission path is *sharded*: submitters are striped by thread
-// affinity over `admission_shards` independent bounded queues (own mutex,
-// own backpressure condition), so concurrent clients contend only within
-// their stripe instead of on one global admission mutex.
+// Admission is one bounded FIFO behind one mutex: submitters push at the
+// back and a flush worker pops up to `max_batch` queries from the front,
+// so every micro-batch is oldest-first by construction.
 //
 // Flushing is *work-conserving* (the group-commit rule): `flush_workers`
-// worker threads (default: one per hardware thread) sleep only while
-// nothing is pending. A worker that wakes, or that finishes a batch while
-// queries are pending, pops up to `max_batch` of them merged oldest-first
-// across every shard and executes them at once. An idle service therefore
-// runs a lone query immediately, and queries coalesce exactly while every
-// worker is busy: what arrives during one batch's execution is the next
-// batch. No timer holds a query back, so batch fill follows the load
-// (about 1 under a trickle, up to max_batch under saturation).
+// worker threads (default: one per hardware thread) sleep only while the
+// queue is empty, and each push wakes one of them. A worker that wakes,
+// or that finishes a batch while queries are queued, pops up to
+// `max_batch` of them and executes them at once. An idle service
+// therefore runs a lone query immediately, and queries coalesce exactly
+// while every worker is busy: what arrives during one batch's execution
+// is the next batch. No timer holds a query back, so batch fill follows
+// the load (about 1 under a trickle, up to max_batch under saturation).
 //
 // Admission policy (ServiceOptions):
-//   - max_batch:        the most queries one micro-batch takes,
-//   - queue_capacity:   bounded admission queue, per shard. Submit*
-//                       blocks when its shard is full (closed-loop
-//                       backpressure); TrySubmit rejects and the
-//                       rejection is counted in ServiceStats.
-//   - admission_shards: number of admission queue stripes.
-//   - flush_workers:    number of concurrent flush workers (0 = one per
-//                       hardware thread).
+//   - max_batch:      the most queries one micro-batch takes,
+//   - queue_capacity: bound on the whole admitted backlog. Submit* blocks
+//                     while the queue is full (closed-loop backpressure);
+//                     TrySubmit rejects and the rejection is counted in
+//                     ServiceStats.
+//   - flush_workers:  number of concurrent flush workers (0 = one per
+//                     hardware thread).
 //
 // Shutdown() drains: every query admitted before the shutdown flag is
-// observed is executed and its future fulfilled; submissions arriving
-// after that get a future carrying std::runtime_error instead of a value.
-// Submitters blocked on a full shard are woken by Shutdown() and rejected
-// the same way — backpressure never deadlocks a shutdown. The last flush
-// worker to exit freezes the service clock, so post-shutdown Stats() is
-// stable regardless of worker scheduling.
+// set is executed and its future fulfilled; submissions arriving after
+// that get a future carrying std::runtime_error instead of a value.
+// Submitters blocked on a full queue are woken by Shutdown() and rejected
+// the same way — backpressure never deadlocks a shutdown. Shutdown()
+// freezes the service clock once every flush worker and the update
+// applier have exited, so post-shutdown Stats() is stable.
 //
 // A query the backend answers with a Status (a paged page that fails to
 // read, say) fails its own future with a StatusError carrying that Status,
@@ -211,42 +209,43 @@ class SiteNetworkBackend : public ServiceBackend {
 struct ServiceOptions {
   /// The most queries one micro-batch takes from the backlog.
   size_t max_batch = 64;
-  /// Read nowhere: a flush worker never waits for more queries. Kept
-  /// declared only because the serving benchmark (perfbench/) prints it
-  /// in its run header; it goes with that line when the benchmark next
-  /// changes.
-  std::chrono::microseconds max_wait{2000};
-  /// Bounded admission-queue depth, PER SHARD (total admitted backlog is
-  /// bounded by admission_shards * queue_capacity).
+  /// Bound on the whole admitted backlog: the queries admitted but not yet
+  /// popped by a flush worker.
   size_t queue_capacity = 4096;
-  /// Admission-queue stripes; submitters are striped by thread affinity.
-  /// Clamped to [1, 256]. 1 reproduces the single-queue service.
-  size_t admission_shards = 4;
-  /// Concurrent flush workers, each popping from every shard. 0 (the
+  /// Concurrent flush workers, all popping from the one queue. 0 (the
   /// default) means one worker per hardware thread (min 1); clamped to
   /// [1, 64]. With 1, batch shapes are deterministic for a given arrival
   /// order.
   size_t flush_workers = 0;
-  /// Cap on the stored per-query latency and per-batch fill samples
-  /// behind the percentile/fill accounting (a uniform reservoir over the
-  /// whole stream — see util/stats.h), so a long-running service does not
-  /// grow memory without bound. 0 keeps every sample.
-  size_t latency_sample_cap = 1 << 16;
+
+  /// Read nowhere. Kept declared only because the serving benchmark
+  /// (perfbench/) sets `admission_shards` and prints both in its run
+  /// header; they go with those lines when the benchmark next changes. A
+  /// flush worker never waits for more queries (`max_wait`), and
+  /// admission has one queue (`admission_shards`).
+  std::chrono::microseconds max_wait{2000};
+  size_t admission_shards = 4;
 };
+
+/// The most samples each ServiceStats accumulator stores: a uniform
+/// reservoir over the whole stream (see util/stats.h), so a long-running
+/// service does not grow memory without bound. Counts, sums, min and max
+/// still cover every sample.
+inline constexpr size_t kServiceSampleCap = 1 << 16;
 
 /// Service-level accounting, snapshot via QueryService::Stats().
 struct ServiceStats {
   size_t submitted = 0;  // admitted into the queue
   size_t completed = 0;  // futures fulfilled with an answer
   size_t failed = 0;     // futures failed with a backend StatusError
-  size_t rejected = 0;   // TrySubmit refusals on a full shard
+  size_t rejected = 0;   // TrySubmit refusals on a full queue
   size_t batches = 0;    // micro-batches executed
 
   size_t updates = 0;        // edge updates applied through the service
   size_t update_epochs = 0;  // maintenance epochs the applier thread ran
 
   /// Per-query admission-to-answer latency of completed queries, in
-  /// seconds (sample storage capped by ServiceOptions::latency_sample_cap).
+  /// seconds (sample storage capped at kServiceSampleCap).
   Accumulator latency_seconds;
   /// Per-update submit-to-publish latency, in seconds (same sample cap).
   Accumulator update_latency_seconds;
@@ -254,9 +253,9 @@ struct ServiceStats {
   /// under load, ≈1 under trickle traffic; same sample cap as latency).
   Accumulator batch_fill;
 
-  /// Wall time from service start to this snapshot (frozen when the LAST
-  /// flush worker exits after Shutdown(), so post-shutdown snapshots are
-  /// identical regardless of worker scheduling).
+  /// Wall time from service start to this snapshot (frozen by Shutdown()
+  /// once every flush worker and the update applier have exited, so
+  /// post-shutdown snapshots are identical).
   double elapsed_seconds = 0.0;
 
   /// Sustained QUERY rate: completed (answered) queries per elapsed
@@ -294,8 +293,8 @@ struct ServiceStats {
 };
 
 /// The admission service: any number of client threads submit single
-/// queries and receive futures; flush workers coalesce them across the
-/// admission shards into micro-batches and execute them on the backend.
+/// queries and receive futures; flush workers coalesce them into
+/// micro-batches and execute them on the backend.
 /// All public methods are thread-safe.
 class QueryService {
  public:
@@ -315,22 +314,22 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Submit one shortest-path cost query. Blocks while the submitter's
-  /// shard is full; the future carries the cost (kInfinity when
-  /// unconnected), or std::runtime_error if the service was already shut
-  /// down, or std::out_of_range for an invalid query (database-backed
+  /// Submit one shortest-path cost query. Blocks while the queue is full;
+  /// the future carries the cost (kInfinity when unconnected), or
+  /// std::runtime_error if the service was already shut down, or
+  /// std::out_of_range for an invalid query (database-backed
   /// services validate at admission, so one bad query fails its own
   /// future instead of reaching a flush worker), or a StatusError when
   /// the backend could not evaluate it.
   std::future<Weight> SubmitShortestPath(NodeId from, NodeId to);
 
-  /// Non-blocking submit: nullopt when the shard is full (counted as a
+  /// Non-blocking submit: nullopt when the queue is full (counted as a
   /// rejection) or the service is shut down. An invalid query returns a
   /// future carrying std::out_of_range (it was not rejected for space).
   std::optional<std::future<Weight>> TrySubmit(NodeId from, NodeId to);
 
   /// Submit a pre-formed batch, keeping one future per query (in query
-  /// order). Blocks element-wise when the shard fills; the flush workers
+  /// order). Blocks element-wise when the queue fills; the flush workers
   /// may split or merge the batch with concurrent submissions.
   std::vector<std::future<Weight>> SubmitBatch(
       const std::vector<Query>& queries);
@@ -358,15 +357,13 @@ class QueryService {
   /// flipped are still drained and answered normally — that split is the
   /// daemon's shutdown-drain contract.
   bool IsShuttingDown() const {
-    return stop_requested_.load(std::memory_order_acquire);
+    return stopping_.load(std::memory_order_acquire);
   }
 
   /// Snapshot of the accounting so far.
   ServiceStats Stats() const;
 
   const ServiceOptions& options() const { return options_; }
-  /// The clamped admission-shard count actually in use.
-  size_t num_shards() const { return shards_.size(); }
   /// The clamped flush-worker count actually in use (the resolved value
   /// when flush_workers was 0 = auto).
   size_t num_flush_workers() const { return flush_threads_.size(); }
@@ -378,62 +375,29 @@ class QueryService {
     std::chrono::steady_clock::time_point submit_time;
   };
 
-  /// One admission stripe: bounded queue + its backpressure condition.
-  /// `mutex` guards everything in the struct.
-  ///
-  /// Lock order (the reason concurrent poppers cannot deadlock): shard
-  /// mutexes are ranked by shard index, and every multi-shard acquisition
-  /// (PopOldest, Stats) takes them in ascending index order and releases
-  /// all of them before acquiring any other set. Submitters hold exactly
-  /// one shard mutex. stats_mutex_ is acquired either alone, or before
-  /// shard mutexes (Stats), never after — flush workers release every
-  /// shard lock before recording stats. So every cycle the wait-for graph
-  /// could form is broken by the ascending-index rank.
-  struct Shard {
-    mutable std::mutex mutex;
-    std::condition_variable space_cv;  // blocked submitters wait here
-    std::deque<Pending> queue;
-    size_t submitted = 0;  // admitted via this shard
-    size_t rejected = 0;   // TrySubmit refusals on this shard
-    /// Set under `mutex` by Shutdown(). Submitters check THIS flag, not
-    /// the atomic: reading it false under the shard lock proves the push
-    /// happens-before Shutdown's sweep of this shard, so the drain cannot
-    /// miss an in-flight admission.
-    bool stopping = false;
-  };
-
-  /// Shared constructor tail: validates options, builds the shards and
-  /// the capped accumulators, then starts the flush workers (and the
-  /// update applier when the backend supports updates).
-  void Start();
-  Shard& ShardForThisThread();
-  /// The one admission path behind every Submit*: validates (when a
-  /// database is known), then pushes into the submitter's shard. Blocking
-  /// admission always returns a future (possibly carrying the shutdown or
-  /// validation error); non-blocking returns nullopt on a full shard
-  /// (counted as a rejection) or after shutdown.
-  std::optional<std::future<Weight>> Admit(Query query, bool blocking);
-  /// Wakes the flush workers reliably (see the definition for when
-  /// submitters need to).
-  void RingDoorbell();
-  /// One flush worker: sleep while nothing is pending, pop, execute,
-  /// fulfill. The last worker to exit freezes the stats clock.
-  void FlushWorkerLoop();
-  /// The update applier: drains all pending updates as one maintenance
-  /// epoch per wake, concurrently with the flush workers.
-  void UpdateLoop();
-
-  /// Pops up to max_batch entries merged oldest-first across every
-  /// shard, holding all shard locks (ascending index order) for the
-  /// merge, notifying space on every shard it popped from. Empty only
-  /// when every shard was empty.
-  std::vector<Pending> PopOldest();
-
   struct PendingUpdate {
     EdgeUpdate update;
     std::promise<uint64_t> promise;
     std::chrono::steady_clock::time_point submit_time;
   };
+
+  /// Shared constructor tail: validates options and sizes the
+  /// accumulators, then starts the flush workers (and the update applier
+  /// when the backend supports updates).
+  void Start();
+  /// The one admission path behind every Submit*: validates (when a
+  /// database is known), then pushes onto the queue. Blocking admission
+  /// always returns a future (possibly carrying the shutdown or validation
+  /// error); non-blocking returns nullopt on a full queue (counted as a
+  /// rejection) or after shutdown.
+  std::optional<std::future<Weight>> Admit(Query query, bool blocking);
+  /// One flush worker: sleep while the queue is empty, pop up to
+  /// max_batch queries from its front, execute, fulfill; exit once
+  /// stopping with the queue drained.
+  void FlushWorkerLoop();
+  /// The update applier: drains all pending updates as one maintenance
+  /// epoch per wake, concurrently with the flush workers.
+  void UpdateLoop();
 
   ServiceOptions options_;
   std::unique_ptr<ServiceBackend> owned_backend_;
@@ -445,42 +409,30 @@ class QueryService {
   size_t validate_num_nodes_ = 0;
   bool routes_supported_ = true;
 
-  std::vector<std::unique_ptr<Shard>> shards_;
-
-  /// The update lane: one unbounded queue beside the sharded query
-  /// stripes, drained by the dedicated applier thread sleeping on
-  /// `update_cv_`. `update_mutex_` guards the queue and the stopping
-  /// flag. Shutdown() sets `updates_stopping_` under the mutex, so an
-  /// update admitted under `stopping == false` is ordered before the flag
-  /// flip and the applier's final drain cannot miss it.
-  std::mutex update_mutex_;
-  std::condition_variable update_cv_;
+  /// The one admission lock: it guards both queues, the admission
+  /// counters and every write of `stopping_`. A thread never holds it
+  /// together with stats_mutex_, so there is no lock order to keep.
+  /// Shutdown() sets `stopping_` under it, so an admission that read
+  /// `stopping_` false is ordered before the flag flip, and the final
+  /// drain sees it.
+  mutable std::mutex mutex_;
+  std::condition_variable space_cv_;   // submitters blocked on a full queue
+  std::condition_variable work_cv_;    // flush workers waiting for queries
+  std::condition_variable update_cv_;  // the applier waiting for updates
+  std::deque<Pending> queue_;
+  /// Unbounded: updates are orders of magnitude rarer than queries.
   std::vector<PendingUpdate> update_queue_;
-  bool updates_stopping_ = false;
+  size_t submitted_ = 0;  // queries admitted
+  size_t rejected_ = 0;   // TrySubmit refusals on a full queue
+  /// Written only under mutex_; IsShuttingDown() reads it without a lock.
+  std::atomic<bool> stopping_{false};
 
-  std::atomic<bool> stop_requested_{false};
-  /// Total entries across all shard queues. Incremented inside the
-  /// submitter's shard critical section, decremented by PopOldest while
-  /// it holds every shard lock; the flush workers' sleep predicate reads
-  /// it as a lock-free hint (a PopOldest sweep is the authority).
-  std::atomic<size_t> pending_{0};
-
-  /// The flush workers' doorbell: the submitter whose push makes pending_
-  /// non-empty rings it; workers sleep here while nothing is pending.
-  /// Guards no data — it only orders the predicate check against the
-  /// ring.
-  mutable std::mutex flush_mutex_;
-  std::condition_variable flush_cv_;
-
-  /// Guards the aggregate accounting and the start/stop timestamps.
+  /// Guards the aggregate accounting and the stop timestamp.
   mutable std::mutex stats_mutex_;
   ServiceStats stats_;
-  bool stopped_ = false;  // last flush-role thread exited; elapsed frozen
   std::chrono::steady_clock::time_point start_time_;
-  std::chrono::steady_clock::time_point stop_time_;
-  /// Flush-role threads (workers + applier) still running; the thread
-  /// that decrements it to zero freezes the stats clock.
-  std::atomic<int> live_flushers_{0};
+  /// Set once by Shutdown(), after every flush thread has exited.
+  std::optional<std::chrono::steady_clock::time_point> stop_time_;
 
   std::once_flag join_once_;
   std::vector<std::thread> flush_threads_;

@@ -187,7 +187,7 @@ void Server::ReaderLoop(Connection* conn) {
                                         "service is shutting down"));
           break;
         }
-        // Blocking admission: a full admission shard holds the reader
+        // Blocking admission: a full admission queue holds the reader
         // here, which is exactly the backpressure the socket should see.
         Reply reply;
         reply.request_id = id;

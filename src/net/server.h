@@ -10,7 +10,7 @@
 //   - the READER owns the socket's receive side: it reads frames,
 //     decodes, submits to the service, and enqueues the resulting future
 //     (tagged with the request id) to the writer. Flow control is the
-//     service's own admission backpressure — a full admission shard
+//     service's own admission backpressure — a full admission queue
 //     blocks the reader, which stops draining the socket, which is TCP
 //     backpressure to the client.
 //   - the WRITER owns the send side: it resolves futures in submission

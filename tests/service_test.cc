@@ -2,20 +2,21 @@
 // Floyd–Warshall min-plus oracle element-wise, an idle flush worker runs a
 // lone query at once while a backlog runs in batches of max_batch, a
 // backend Status fails only its own query's future and keeps its code, the
-// bounded queue rejects TrySubmit when full, Shutdown drains every
-// admitted query (and wakes submitters blocked on backpressure), the
-// sharded admission path and the parallel flush pool keep ServiceStats
-// totals scheduling-independent across shard and worker counts (with
-// elapsed_seconds frozen by the last worker to drain), and the backend
-// seam serves both the in-process database and the message-passing
-// SiteNetwork.
+// bounded queue rejects TrySubmit when full and bounds the whole backlog
+// whichever threads submit, Shutdown drains every admitted query (and
+// wakes submitters blocked on backpressure), the parallel flush pool
+// keeps ServiceStats totals scheduling-independent across worker counts
+// (with elapsed_seconds frozen at shutdown), and the backend seam serves
+// both the in-process database and the message-passing SiteNetwork.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <latch>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "dsa/service.h"
@@ -304,6 +305,53 @@ TEST(QueryService, TrySubmitRejectsWhenQueueFull) {
   EXPECT_EQ(service.Stats().completed, 3u);
 }
 
+TEST(QueryService, QueueCapacityBoundsTheWholeBacklog) {
+  // queue_capacity bounds the whole backlog, whichever threads submit:
+  // with the only worker held in the gate and room for 2, exactly 2 of 8
+  // concurrent TrySubmit calls are admitted and 6 are rejected. Every
+  // submitter waits at the latch before it exits, so no thread id is
+  // reused while the others submit.
+  GatedBackend backend;
+  ServiceOptions opts;
+  opts.queue_capacity = 2;
+  opts.flush_workers = 1;
+  QueryService service(&backend, opts);
+
+  std::future<Weight> running = service.SubmitShortestPath(0, 1);
+  backend.WaitUntilExecuting();
+
+  constexpr size_t kSubmitters = 8;
+  std::vector<std::optional<std::future<Weight>>> results(kSubmitters);
+  std::latch all_submitted(kSubmitters);
+  std::vector<std::thread> threads;
+  threads.reserve(kSubmitters);
+  for (size_t t = 0; t < kSubmitters; ++t) {
+    threads.emplace_back([&, t]() {
+      const NodeId from = static_cast<NodeId>(t);
+      results[t] = service.TrySubmit(from, from + 1);
+      all_submitted.arrive_and_wait();
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  size_t admitted = 0;
+  for (const auto& result : results) admitted += result.has_value();
+  EXPECT_EQ(admitted, 2u);
+  EXPECT_EQ(service.Stats().rejected, kSubmitters - 2);
+
+  backend.Release();
+  EXPECT_DOUBLE_EQ(running.get(), 1.0);
+  for (size_t t = 0; t < kSubmitters; ++t) {
+    if (results[t].has_value()) {
+      EXPECT_DOUBLE_EQ(results[t]->get(), 2.0 * t + 1.0) << "submitter " << t;
+    }
+  }
+  service.Shutdown();
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.submitted, 3u);
+  EXPECT_EQ(stats.completed, 3u);
+}
+
 TEST(QueryService, ShutdownDrainsQueuedQueries) {
   // A Shutdown() called while queries wait behind a busy worker must
   // drain every one of them, not drop them.
@@ -347,21 +395,65 @@ TEST(QueryService, SubmitAfterShutdownFails) {
   EXPECT_THROW(future.get(), std::runtime_error);
 }
 
-TEST(QueryService, ShardSweepTotalsAreSchedulingIndependent) {
-  // 16 submitter threads across shard counts {1, 4, 8}: every future must
-  // resolve with the oracle answer and the ServiceStats totals must be
-  // identical at every shard count — sharding the admission path may only
-  // change contention, never what is admitted or answered.
+TEST(QueryService, ManySubmittersTotalsAreSchedulingIndependent) {
+  // 16 submitter threads on the default service: every future must
+  // resolve with the oracle answer and the ServiceStats totals must count
+  // every query exactly once — contention may only change who waits,
+  // never what is admitted or answered.
   Fixture fx(309);
   const std::vector<Query> queries = fx.Workload(240, 14);
   constexpr size_t kSubmitters = 16;
 
-  for (size_t shards : {1, 4, 8}) {
+  ServiceOptions opts;
+  opts.max_batch = 32;
+  QueryService service(fx.db.get(), opts);
+
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kSubmitters);
+  for (size_t t = 0; t < kSubmitters; ++t) {
+    threads.emplace_back([&, t]() {
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const size_t j = (i + t * 31) % queries.size();
+        const Query& q = queries[j];
+        std::future<Weight> future = service.SubmitShortestPath(q.from, q.to);
+        const Weight got = future.get();
+        const Weight want = fx.oracle[q.from][q.to];
+        if (want == kInfinity ? got != kInfinity
+                              : std::abs(got - want) > 1e-9) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  service.Shutdown();
+
+  EXPECT_EQ(mismatches.load(), 0u);
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.submitted, kSubmitters * queries.size());
+  EXPECT_EQ(stats.completed, stats.submitted);
+  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.latency_seconds.count(), stats.completed);
+  EXPECT_LE(stats.batch_fill.Max(), static_cast<double>(opts.max_batch));
+}
+
+TEST(QueryService, FlushWorkerSweepTotalsAreSchedulingIndependent) {
+  // Across flush_workers {1, 2, 4}, with 8 concurrent submitters, every
+  // future resolves with the oracle answer and the drained totals are
+  // identical at every worker count. Worker count may only change which
+  // thread pops a query — never whether it is admitted, answered, or
+  // counted.
+  Fixture fx(313);
+  const std::vector<Query> queries = fx.Workload(160, 17);
+  constexpr size_t kSubmitters = 8;
+
+  for (size_t workers : {1, 2, 4}) {
     ServiceOptions opts;
-    opts.max_batch = 32;
-    opts.admission_shards = shards;
+    opts.max_batch = 16;
+    opts.flush_workers = workers;
     QueryService service(fx.db.get(), opts);
-    ASSERT_EQ(service.num_shards(), shards);
+    ASSERT_EQ(service.num_flush_workers(), workers);
 
     std::atomic<size_t> mismatches{0};
     std::vector<std::thread> threads;
@@ -369,11 +461,8 @@ TEST(QueryService, ShardSweepTotalsAreSchedulingIndependent) {
     for (size_t t = 0; t < kSubmitters; ++t) {
       threads.emplace_back([&, t]() {
         for (size_t i = 0; i < queries.size(); ++i) {
-          const size_t j = (i + t * 31) % queries.size();
-          const Query& q = queries[j];
-          std::future<Weight> future =
-              service.SubmitShortestPath(q.from, q.to);
-          const Weight got = future.get();
+          const Query& q = queries[(i + t * 37) % queries.size()];
+          const Weight got = service.SubmitShortestPath(q.from, q.to).get();
           const Weight want = fx.oracle[q.from][q.to];
           if (want == kInfinity ? got != kInfinity
                                 : std::abs(got - want) > 1e-9) {
@@ -385,86 +474,32 @@ TEST(QueryService, ShardSweepTotalsAreSchedulingIndependent) {
     for (std::thread& th : threads) th.join();
     service.Shutdown();
 
-    EXPECT_EQ(mismatches.load(), 0u) << "shards=" << shards;
     const ServiceStats stats = service.Stats();
-    EXPECT_EQ(stats.submitted, kSubmitters * queries.size())
-        << "shards=" << shards;
-    EXPECT_EQ(stats.completed, stats.submitted) << "shards=" << shards;
-    EXPECT_EQ(stats.rejected, 0u) << "shards=" << shards;
-    EXPECT_EQ(stats.latency_seconds.count(), stats.completed)
-        << "shards=" << shards;
-    EXPECT_LE(stats.batch_fill.Max(), static_cast<double>(opts.max_batch))
-        << "shards=" << shards;
-  }
-}
-
-TEST(QueryService, FlushWorkerGridTotalsAreSchedulingIndependent) {
-  // The parallel-flush analogue of the shard sweep: across flush_workers
-  // {1, 2, 4} × admission_shards {1, 4, 8}, with 8 concurrent submitters,
-  // every future resolves with the oracle answer and the drained totals
-  // are identical in every cell. Worker count may only change which
-  // thread pops a query — never whether it is admitted, answered, or
-  // counted.
-  Fixture fx(313);
-  const std::vector<Query> queries = fx.Workload(160, 17);
-  constexpr size_t kSubmitters = 8;
-
-  for (size_t workers : {1, 2, 4}) {
-    for (size_t shards : {1, 4, 8}) {
-      ServiceOptions opts;
-      opts.max_batch = 16;
-      opts.admission_shards = shards;
-      opts.flush_workers = workers;
-      QueryService service(fx.db.get(), opts);
-      ASSERT_EQ(service.num_flush_workers(), workers);
-
-      std::atomic<size_t> mismatches{0};
-      std::vector<std::thread> threads;
-      threads.reserve(kSubmitters);
-      for (size_t t = 0; t < kSubmitters; ++t) {
-        threads.emplace_back([&, t]() {
-          for (size_t i = 0; i < queries.size(); ++i) {
-            const Query& q = queries[(i + t * 37) % queries.size()];
-            const Weight got = service.SubmitShortestPath(q.from, q.to).get();
-            const Weight want = fx.oracle[q.from][q.to];
-            if (want == kInfinity ? got != kInfinity
-                                  : std::abs(got - want) > 1e-9) {
-              ++mismatches;
-            }
-          }
-        });
-      }
-      for (std::thread& th : threads) th.join();
-      service.Shutdown();
-
-      const ServiceStats stats = service.Stats();
-      SCOPED_TRACE(::testing::Message()
-                   << "workers=" << workers << " shards=" << shards);
-      EXPECT_EQ(mismatches.load(), 0u);
-      EXPECT_EQ(stats.submitted, kSubmitters * queries.size());
-      EXPECT_EQ(stats.completed, stats.submitted);
-      EXPECT_EQ(stats.rejected, 0u);
-      EXPECT_EQ(stats.latency_seconds.count(), stats.completed);
-      EXPECT_LE(stats.batch_fill.Max(), static_cast<double>(opts.max_batch));
-      // With no updates submitted, the combined operation rate degenerates
-      // to the query rate and the update rate to zero.
-      EXPECT_DOUBLE_EQ(stats.SustainedOpsPerSec(), stats.SustainedQps());
-      EXPECT_DOUBLE_EQ(stats.SustainedUpdatesPerSec(), 0.0);
-    }
+    SCOPED_TRACE(::testing::Message() << "workers=" << workers);
+    EXPECT_EQ(mismatches.load(), 0u);
+    EXPECT_EQ(stats.submitted, kSubmitters * queries.size());
+    EXPECT_EQ(stats.completed, stats.submitted);
+    EXPECT_EQ(stats.rejected, 0u);
+    EXPECT_EQ(stats.latency_seconds.count(), stats.completed);
+    EXPECT_LE(stats.batch_fill.Max(), static_cast<double>(opts.max_batch));
+    // With no updates submitted, the combined operation rate degenerates
+    // to the query rate and the update rate to zero.
+    EXPECT_DOUBLE_EQ(stats.SustainedOpsPerSec(), stats.SustainedQps());
+    EXPECT_DOUBLE_EQ(stats.SustainedUpdatesPerSec(), 0.0);
   }
 }
 
 TEST(QueryService, StatsAreFrozenAfterShutdownUnderParallelFlush) {
   // Regression for the multi-worker stats freeze: elapsed_seconds must be
-  // stamped exactly once, by the LAST flush worker to drain — not by the
-  // first, which would leak a still-ticking clock into later snapshots.
+  // stamped exactly once, after the LAST flush worker drains — not when
+  // the first exits, which would leak a still-ticking clock into later
+  // snapshots.
   // Two Stats() calls separated by real time must be identical, and the
   // drained totals must balance regardless of which worker popped what.
   Fixture fx(314);
   ServiceOptions opts;
   opts.max_batch = 8;
   opts.flush_workers = 4;
-  opts.admission_shards = 4;
   QueryService service(fx.db.get(), opts);
 
   std::vector<std::future<Weight>> futures =
@@ -495,8 +530,7 @@ TEST(QueryService, ShutdownWakesSubmitterBlockedOnFullQueue) {
   ServiceOptions opts;
   opts.max_batch = 1;
   opts.queue_capacity = 1;
-  opts.admission_shards = 1;  // one stripe: the blocked path is forced
-  opts.flush_workers = 1;     // one popper: the gate holds the only worker
+  opts.flush_workers = 1;  // one popper: the gate holds the only worker
   QueryService service(&backend, opts);
 
   auto running = service.SubmitShortestPath(1, 2);
@@ -538,25 +572,6 @@ TEST(QueryService, ShutdownWakesSubmitterBlockedOnFullQueue) {
   EXPECT_EQ(stats.completed, stats.submitted);
 }
 
-TEST(QueryService, SingleShardMatchesDefaultShardingAnswers) {
-  // admission_shards = 1 must reproduce the single-queue service exactly
-  // (it is the baseline the bench sweep compares against).
-  Fixture fx(310);
-  const std::vector<Query> queries = fx.Workload(100, 15);
-  for (size_t shards : {1, 8}) {
-    ServiceOptions opts;
-    opts.admission_shards = shards;
-    opts.max_batch = 16;
-    QueryService service(fx.db.get(), opts);
-    std::vector<std::future<Weight>> futures = service.SubmitBatch(queries);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      ExpectOracle(fx, queries[i].from, queries[i].to, futures[i].get());
-    }
-    service.Shutdown();
-    EXPECT_EQ(service.Stats().completed, queries.size());
-  }
-}
-
 TEST(QueryService, InvalidQueriesFailTheirOwnFutureNotTheService) {
   // Admission-time validation: an out-of-range endpoint must fail that
   // query's future — not reach the flush thread and TCF_CHECK-abort the
@@ -596,7 +611,6 @@ TEST(QueryService, LatencySampleCapBoundsStoredSamples) {
   Fixture fx(311);
   ServiceOptions opts;
   opts.max_batch = 8;
-  opts.latency_sample_cap = 32;
   QueryService service(fx.db.get(), opts);
 
   const std::vector<Query> queries = fx.Workload(200, 16);
@@ -606,9 +620,12 @@ TEST(QueryService, LatencySampleCapBoundsStoredSamples) {
 
   const ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.completed, queries.size());
-  // Every completion is counted, but the stored samples are capped.
+  // Every accumulator's stored samples are capped; every completion is
+  // still counted.
+  EXPECT_EQ(stats.latency_seconds.max_samples(), kServiceSampleCap);
+  EXPECT_EQ(stats.update_latency_seconds.max_samples(), kServiceSampleCap);
+  EXPECT_EQ(stats.batch_fill.max_samples(), kServiceSampleCap);
   EXPECT_EQ(stats.latency_seconds.count(), queries.size());
-  EXPECT_LE(stats.latency_seconds.samples().size(), 32u);
   EXPECT_GT(stats.LatencyPercentileMs(99), 0.0);
 }
 

@@ -8,8 +8,7 @@
 //   tcfragd [--port N] [--bind ADDR] [--clusters N]
 //           [--nodes-per-cluster N] [--edges-per-cluster N]
 //           [--fragments N] [--seed N] [--max-batch N]
-//           [--flush-workers N] [--shards N] [--db PATH]
-//           [--memory-budget-mb N]
+//           [--flush-workers N] [--db PATH] [--memory-budget-mb N]
 //
 // Defaults serve the Table 1 transportation workload (4 clusters x 25
 // nodes) on 127.0.0.1:7411. Talk to it with net/client.h — see
@@ -66,7 +65,6 @@ struct Flags {
   uint64_t seed = 7;
   size_t max_batch = 64;
   size_t flush_workers = 0;  // 0 = one per hardware thread
-  size_t shards = 4;
   std::string db_path;       // empty = in-memory only
   size_t memory_budget_mb = 0;  // 0 = resident open; >0 = paged open
 };
@@ -77,8 +75,7 @@ void Usage(const char* argv0) {
       "usage: %s [--port N] [--bind ADDR] [--clusters N]\n"
       "          [--nodes-per-cluster N] [--edges-per-cluster N]\n"
       "          [--fragments N] [--seed N] [--max-batch N]\n"
-      "          [--flush-workers N] [--shards N] [--db PATH]\n"
-      "          [--memory-budget-mb N]\n",
+      "          [--flush-workers N] [--db PATH] [--memory-budget-mb N]\n",
       argv0);
 }
 
@@ -113,8 +110,8 @@ bool ParseInRange(const std::string& flag, const char* text, T lo, T hi,
 // generator needs a cluster and two nodes per cluster, the fragmenter and
 // the service at least one fragment and one query per batch, and a
 // budget must survive the MiB-to-bytes shift. The upper bounds keep a
-// typo from asking for more nodes, fragment threads or shards than a
-// daemon can hold.
+// typo from asking for more nodes or fragment threads than a daemon can
+// hold.
 bool ParseFlags(int argc, char** argv, Flags* flags) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -142,14 +139,13 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       ok = ParseInRange<size_t>(arg, v, 1, 65536, &flags->max_batch);
     } else if (arg == "--flush-workers") {
       ok = ParseInRange<size_t>(arg, v, 0, 64, &flags->flush_workers);
-    } else if (arg == "--shards") {
-      ok = ParseInRange<size_t>(arg, v, 1, 256, &flags->shards);
     } else if (arg == "--db") {
       flags->db_path = v;
     } else if (arg == "--memory-budget-mb") {
       ok = ParseInRange<size_t>(arg, v, 0, SIZE_MAX >> 20,
                                 &flags->memory_budget_mb);
     } else {
+      std::fprintf(stderr, "tcfragd: unknown flag '%s'\n", arg.c_str());
       Usage(argv[0]);
       return false;
     }
@@ -249,7 +245,6 @@ int main(int argc, char** argv) {
   ServiceOptions sopts;
   sopts.max_batch = flags.max_batch;
   sopts.flush_workers = flags.flush_workers;
-  sopts.admission_shards = flags.shards;
   QueryService service(&mdb, sopts);
 
   ServerOptions server_opts;
