@@ -52,8 +52,8 @@ BatchResult BatchExecutor::Execute(const std::vector<Query>& queries) const {
   result.stats.subqueries_executed = flat_specs.size();
   result.stats.plan_seconds = plan_timer.ElapsedSeconds();
 
-  // Phase 1, once for the whole batch: every deduplicated subquery is one
-  // task on the database's shared pool.
+  // Phase 1, once for the whole batch: the deduplicated subqueries run on
+  // the database's shared pool in fragment-grouped tasks.
   WallTimer phase1_timer;
   const ComplementaryInfo* comp =
       options.use_complementary ? &db_->complementary() : nullptr;

@@ -13,8 +13,9 @@
 //      source-DS, target-DS) triple share a single site computation — and
 //      interning itself no longer serializes the coordinator,
 //   3. seal the sharded table into one flat spec vector and run the
-//      deduplicated subqueries on the same pool in a single ParallelFor
-//      (no per-query pools, no per-query barriers),
+//      deduplicated subqueries on the same pool in one RunSites call,
+//      grouped by fragment so that a task streams its fragment's shortcut
+//      relation once (no per-query pools, no per-query barriers),
 //   4. assemble every query's answer in parallel on the same pool (pure
 //      reads of the shared phase-1 results).
 //

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <compare>
 
 #include "graph/algorithms.h"
 #include "util/timer.h"
@@ -184,29 +185,97 @@ ParallelPlanResult PlanBatchInParallel(
   return out;
 }
 
+namespace {
+
+// Where a spec goes in the Dijkstra engine's task order: its fragment,
+// its search direction and its origin (the least node of the side it
+// searches from), then its index, so that the order is deterministic.
+struct TaskKey {
+  FragmentId fragment = 0;
+  bool backward = false;
+  NodeId origin = 0;
+  size_t index = 0;
+
+  auto operator<=>(const TaskKey&) const = default;
+
+  bool SameSearch(const TaskKey& o) const {
+    return fragment == o.fragment && backward == o.backward &&
+           origin == o.origin;
+  }
+};
+
+TaskKey TaskKeyOf(const LocalQuerySpec& spec, size_t index) {
+  const bool backward = SearchesBackward(spec);
+  const NodeSet& near = backward ? spec.targets : spec.sources;
+  return {spec.fragment, backward,
+          *std::min_element(near.begin(), near.end()), index};
+}
+
+}  // namespace
+
 std::vector<LocalQueryResult> RunSites(
     const Fragmentation& frag, const ComplementaryInfo* complementary,
     const std::vector<LocalQuerySpec>& specs, LocalEngine engine,
     ThreadPool* pool, ExecutionReport* report) {
-  std::vector<LocalQueryResult> results(specs.size());
-  std::vector<double> seconds(specs.size(), 0.0);
-
-  WallTimer phase_timer;
-  auto run_one = [&](size_t i) {
-    WallTimer site_timer;
-    results[i] = RunLocalQuery(frag, complementary, specs[i], engine);
-    seconds[i] = site_timer.ElapsedSeconds();
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(specs.size(), run_one);
+  const size_t n = specs.size();
+  // `order` lists the specs task by task; task t runs
+  // order[cuts[t], cuts[t + 1]).
+  std::vector<size_t> order(n);
+  std::vector<size_t> cuts = {0};
+  if (engine == LocalEngine::kDijkstra) {
+    std::vector<TaskKey> keys(n);
+    for (size_t i = 0; i < n; ++i) keys[i] = TaskKeyOf(specs[i], i);
+    std::sort(keys.begin(), keys.end());
+    const size_t range = pool != nullptr ? pool->RangeSize(n) : n;
+    for (size_t i = 0; i < n; ++i) {
+      order[i] = keys[i].index;
+      if (i == 0) continue;
+      const TaskKey& prev = keys[i - 1];
+      if (keys[i].fragment != prev.fragment ||
+          (!keys[i].SameSearch(prev) && i - cuts.back() >= range)) {
+        cuts.push_back(i);
+      }
+    }
   } else {
-    for (size_t i = 0; i < specs.size(); ++i) run_one(i);
+    for (size_t i = 0; i < n; ++i) {
+      order[i] = i;
+      if (i > 0) cuts.push_back(i);
+    }
+  }
+  if (n > 0) cuts.push_back(n);
+
+  std::vector<LocalQueryResult> results(n);
+  std::vector<double> seconds(n, 0.0);
+  WallTimer phase_timer;
+  auto run_task = [&](size_t t) {
+    WallTimer task_timer;
+    const size_t begin = cuts[t];
+    const size_t size = cuts[t + 1] - begin;
+    if (engine == LocalEngine::kDijkstra) {
+      std::vector<const LocalQuerySpec*> group(size);
+      std::vector<LocalQueryResult> out(size);
+      for (size_t k = 0; k < size; ++k) group[k] = &specs[order[begin + k]];
+      RunLocalQueryGroup(frag, complementary, group, out);
+      for (size_t k = 0; k < size; ++k) {
+        results[order[begin + k]] = std::move(out[k]);
+      }
+    } else {
+      results[order[begin]] =
+          RunLocalQuery(frag, complementary, specs[order[begin]], engine);
+    }
+    seconds[order[begin]] = task_timer.ElapsedSeconds();
+  };
+  const size_t num_tasks = cuts.size() - 1;
+  if (pool != nullptr) {
+    pool->ParallelFor(num_tasks, run_task);
+  } else {
+    for (size_t t = 0; t < num_tasks; ++t) run_task(t);
   }
   const double wall = phase_timer.ElapsedSeconds();
 
   if (report != nullptr) {
     report->phase1_wall_seconds += wall;
-    for (size_t i = 0; i < specs.size(); ++i) {
+    for (size_t i = 0; i < n; ++i) {
       SiteReport site;
       site.fragment = specs[i].fragment;
       site.stats = results[i].stats;

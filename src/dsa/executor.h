@@ -165,10 +165,21 @@ ParallelPlanResult PlanBatchInParallel(
     const std::vector<std::pair<NodeId, NodeId>>& endpoints,
     size_t max_chains, ChainPlanCache* chain_cache, ThreadPool* pool);
 
-/// Runs all `specs` in parallel on `pool` (or sequentially when pool is
-/// null) and appends one SiteReport each. Results are returned in spec
-/// order. Safe to call concurrently from several coordinator threads
-/// sharing one pool.
+/// Runs all `specs` on `pool` (sequentially when pool is null) and
+/// appends one SiteReport each; results are returned in spec order. The
+/// relational engines run one task per spec. The Dijkstra engine runs
+/// each fragment's specs as sites do (RunLocalQueryGroup): the specs are
+/// sorted by (fragment, search direction, origin) and cut into tasks at
+/// every fragment boundary and every pool->RangeSize(n) specs, never
+/// inside a run of specs that share one search; a task streams its
+/// fragment's shortcut relation once and runs one search per distinct
+/// (direction, origin). A failed stream fails the specs of its task that
+/// needed the relation, and no other. Memory: each task's overlay and
+/// search arrays are per-thread scratch, reused by the thread's next
+/// task. A task's time is charged to the SiteReport of its first spec
+/// (the others read 0), so the total and the slowest record describe the
+/// tasks. Results are bit-identical to running each spec alone. Safe to
+/// call concurrently from several coordinator threads sharing one pool.
 std::vector<LocalQueryResult> RunSites(const Fragmentation& frag,
                                        const ComplementaryInfo* complementary,
                                        const std::vector<LocalQuerySpec>& specs,

@@ -64,18 +64,19 @@ void ThreadPool::ParallelForRanges(
     fn(0, 1);  // as in ParallelFor: one task runs on the caller
     return;
   }
-  // ~4 ranges per worker: enough slack to absorb uneven range costs
-  // without reintroducing per-item queue traffic.
-  const size_t max_tasks = workers_.size() * 4;
-  const size_t num_tasks = std::min(n, max_tasks);
-  const size_t chunk = (n + num_tasks - 1) / num_tasks;
+  const size_t chunk = RangeSize(n);
   std::vector<std::future<void>> futures;
-  futures.reserve(num_tasks);
+  futures.reserve((n + chunk - 1) / chunk);
   for (size_t begin = 0; begin < n; begin += chunk) {
     const size_t end = std::min(n, begin + chunk);
     futures.push_back(Submit([&fn, begin, end]() { fn(begin, end); }));
   }
   for (auto& f : futures) f.get();
+}
+
+size_t ThreadPool::RangeSize(size_t n) const {
+  const size_t max_tasks = workers_.size() * 4;
+  return std::max<size_t>(1, (n + max_tasks - 1) / max_tasks);
 }
 
 }  // namespace tcf

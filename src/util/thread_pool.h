@@ -59,6 +59,12 @@ class ThreadPool {
   void ParallelForRanges(size_t n,
                          const std::function<void(size_t, size_t)>& fn);
 
+  /// The length of ParallelForRanges' ranges over n items:
+  /// ⌈n / (4 × workers)⌉, at least 1 — about four ranges per worker,
+  /// enough slack to absorb uneven range costs without per-item queue
+  /// traffic. For callers that cut their own tasks by the same rule.
+  size_t RangeSize(size_t n) const;
+
  private:
   void WorkerLoop();
 

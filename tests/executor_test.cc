@@ -1,16 +1,25 @@
-// Unit tests for the executor layer: RunSites (parallel and sequential),
-// AssembleChain, the chain assemblers against AssembleChain's fold, and
-// the ExecutionReport accounting.
+// Unit tests for the executor layer: RunSites (parallel and sequential;
+// the Dijkstra engine's fragment-grouped tasks against one spec at a
+// time, their shared stream and searches, and a corrupt fragment's
+// reach), AssembleChain, the chain assemblers against AssembleChain's
+// fold, and the ExecutionReport accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <string>
 
+#include "dsa/batch.h"
 #include "dsa/executor.h"
+#include "dsa_sweep.h"
+#include "fragment/node_partition.h"
 #include "fragment/random_partition.h"
 #include "graph/builder.h"
 #include "graph/generator.h"
+#include "storage/database_io.h"
 
 namespace tcf {
 namespace {
@@ -78,6 +87,378 @@ TEST(RunSites, ReportAggregatesSiteTimes) {
   for (const SiteReport& s : report.sites) {
     EXPECT_GT(s.stats.iterations, 0u);
   }
+}
+
+using dsa_sweep::Fragmenter;
+using dsa_sweep::MakeFragmentation;
+
+/// A directed transportation graph: a search in the wrong direction gives
+/// different answers, and some targets are unreachable from some sources.
+Graph MakeDirectedGraph(uint64_t seed) {
+  TransportationGraphOptions opts;
+  opts.num_clusters = 4;
+  opts.nodes_per_cluster = 15;
+  opts.target_edges_per_cluster = 45.0;
+  opts.symmetric = false;
+  Rng rng(seed);
+  return GenerateTransportationGraph(opts, &rng).graph;
+}
+
+/// Clusters of 20 nodes joined by `links` of 8 edges each, fragmented by
+/// cluster: wide disconnection sets, so shortcut relations span pages.
+struct LinkedClusters {
+  TransportationGraph t;
+  std::unique_ptr<Fragmentation> frag;
+};
+
+LinkedClusters MakeLinkedClusters(
+    const std::vector<std::pair<size_t, size_t>>& links) {
+  TransportationGraphOptions opts;
+  opts.num_clusters = 4;
+  opts.nodes_per_cluster = 20;
+  opts.target_edges_per_cluster = 70.0;
+  for (const auto& [a, b] : links) {
+    opts.links.push_back(InterClusterLink{a, b, 8});
+  }
+  Rng rng(29);
+  LinkedClusters out;
+  out.t = GenerateTransportationGraph(opts, &rng);
+  out.frag = std::make_unique<Fragmentation>(FragmentationFromNodePartition(
+      out.t.graph, out.t.cluster_of_node, opts.num_clusters));
+  return out;
+}
+
+class PagedFileTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    path_ = ::testing::TempDir() + "executor_test_" +
+            std::to_string(reinterpret_cast<uintptr_t>(this)) + ".tcfdb";
+  }
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  /// Saves `db` with the smallest pages and opens it paged through a pool
+  /// of `frames` frames.
+  StoredDatabase SaveAndOpenPaged(const DsaDatabase& db, size_t frames) {
+    SaveOptions save;
+    save.page_size = kMinPageSize;
+    EXPECT_TRUE(SaveDatabase(db, path_, save).ok());
+    OpenOptions paged;
+    paged.mode = OpenMode::kPaged;
+    paged.memory_budget_bytes = frames * kMinPageSize;
+    Result<StoredDatabase> opened = OpenDatabase(path_, paged);
+    EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+    return opened.ok() ? std::move(opened).value() : StoredDatabase{};
+  }
+
+  std::string path_;
+};
+
+NodeSet SetOf(const std::vector<NodeId>& nodes) {
+  return NodeSet(nodes.begin(), nodes.end());
+}
+
+struct SpecMix {
+  std::vector<LocalQuerySpec> specs;
+  size_t border_pairs = 0;     // every node a border node
+  size_t shared_forward = 0;   // {v} -> X, several per origin v
+  size_t shared_backward = 0;  // X -> {v}, several per origin v
+  size_t overlapping = 0;      // a node on both sides
+  size_t outsiders = 0;        // a node outside the fragment
+};
+
+/// Per fragment: every ordered pair of its disconnection sets; forward and
+/// backward endpoint specs that share an origin (a node of the fragment,
+/// inner when it has one); specs with a node on both sides; specs naming
+/// nodes outside the fragment; and two random many-to-many specs. Then
+/// shuffled, so that each fragment's specs are scattered.
+SpecMix MixedSpecs(const Fragmentation& frag, uint64_t seed) {
+  Rng rng(seed);
+  SpecMix mix;
+  auto add = [&](FragmentId f, NodeSet sources, NodeSet targets) {
+    mix.specs.push_back(LocalQuerySpec{f, std::move(sources),
+                                       std::move(targets)});
+  };
+  for (FragmentId f = 0; f < frag.NumFragments(); ++f) {
+    const std::vector<NodeId>& nodes = frag.FragmentNodes(f);
+    std::vector<NodeSet> sides;
+    for (FragmentId g : frag.FragmentNeighbors(f)) {
+      sides.push_back(SetOf(frag.FindDisconnectionSet(f, g)->nodes));
+    }
+    if (!frag.BorderNodes(f).empty()) sides.push_back(SetOf(frag.BorderNodes(f)));
+    for (const NodeSet& in : sides) {
+      for (const NodeSet& out : sides) {
+        add(f, in, out);
+        ++mix.border_pairs;
+      }
+    }
+    std::vector<NodeId> inner;
+    for (NodeId v : nodes) {
+      if (!frag.IsBorderNode(v)) inner.push_back(v);
+    }
+    const std::vector<NodeId>& origins = inner.empty() ? nodes : inner;
+    NodeId outside = 0;
+    while (std::binary_search(nodes.begin(), nodes.end(), outside)) ++outside;
+    for (int rep = 0; rep < 2; ++rep) {
+      const NodeId v = origins[rng.NextBounded(origins.size())];
+      const NodeId w = nodes[rng.NextBounded(nodes.size())];
+      for (const NodeSet& side : sides) {
+        add(f, {v}, side);
+        ++mix.shared_forward;
+        if (side.size() > 1) {
+          add(f, side, {v});
+          ++mix.shared_backward;
+        }
+      }
+      add(f, {v}, {w});
+      NodeSet with_v = sides.empty() ? NodeSet{w} : sides.front();
+      with_v.insert(v);
+      add(f, {v}, with_v);
+      add(f, with_v, {v});
+      mix.overlapping += 2;
+      add(f, {v, outside}, {w});
+      add(f, {v}, {outside, w});
+      add(f, {v}, {outside});
+      add(f, {outside}, {outside});
+      mix.outsiders += 4;
+      NodeSet many_sources, many_targets;
+      for (int i = 0; i < 3; ++i) {
+        many_sources.insert(nodes[rng.NextBounded(nodes.size())]);
+        many_targets.insert(nodes[rng.NextBounded(nodes.size())]);
+      }
+      add(f, many_sources, many_targets);
+    }
+  }
+  rng.Shuffle(&mix.specs);
+  return mix;
+}
+
+/// Bit-for-bit equality of two local results: status, every tuple in
+/// canonical order (costs compared as bits), and the result size.
+void ExpectSameResult(const LocalQueryResult& got,
+                      const LocalQueryResult& want, size_t i) {
+  ASSERT_EQ(got.status.code(), want.status.code()) << "spec " << i;
+  if (!want.status.ok()) return;
+  ASSERT_EQ(got.paths.size(), want.paths.size()) << "spec " << i;
+  for (size_t j = 0; j < want.paths.size(); ++j) {
+    const PathTuple& a = got.paths.tuples()[j];
+    const PathTuple& b = want.paths.tuples()[j];
+    EXPECT_EQ(a.src, b.src) << "spec " << i;
+    EXPECT_EQ(a.dst, b.dst) << "spec " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.cost), std::bit_cast<uint64_t>(b.cost))
+        << "spec " << i << ": " << a.src << "->" << a.dst;
+  }
+  EXPECT_EQ(got.stats.result_size, want.stats.result_size) << "spec " << i;
+}
+
+TEST_F(PagedFileTest, GroupedSitesMatchOneSpecAtATimeBitForBit) {
+  const Graph g = MakeDirectedGraph(41);
+  const std::pair<const char*, Fragmenter> cases[] = {
+      {"center", Fragmenter::kCenter},
+      {"linear", Fragmenter::kLinear},
+      {"cyclic", Fragmenter::kRandom}};
+  ThreadPool pool(3);
+  for (const auto& [name, which] : cases) {
+    SCOPED_TRACE(name);
+    const Fragmentation frag = MakeFragmentation(g, which, 5);
+    if (which == Fragmenter::kRandom) {
+      ASSERT_GT(frag.FragmentationGraphCycles(), 0u);
+    }
+    const DsaDatabase db(&frag);
+    // A pool of four frames: shortcut extents span pages and scans evict.
+    const StoredDatabase paged = SaveAndOpenPaged(db, 4);
+    ASSERT_NE(paged.db, nullptr);
+    ASSERT_TRUE(paged.db->complementary().shortcuts.front().is_paged());
+
+    const SpecMix mix = MixedSpecs(frag, 7);
+    EXPECT_GT(mix.border_pairs, 0u);
+    EXPECT_GT(mix.shared_forward, 2 * frag.NumFragments());
+    EXPECT_GT(mix.shared_backward, 0u);
+    const std::pair<const Fragmentation*, const ComplementaryInfo*>
+        stores[] = {{&frag, &db.complementary()},
+                    {&frag, nullptr},
+                    {paged.frag.get(), &paged.db->complementary()},
+                    {paged.frag.get(), nullptr}};
+    for (const auto& [site_frag, comp] : stores) {
+      std::vector<LocalQueryResult> alone;
+      size_t alone_settled = 0;
+      for (const LocalQuerySpec& spec : mix.specs) {
+        alone.push_back(RunLocalQuery(*site_frag, comp, spec));
+        ASSERT_TRUE(alone.back().status.ok());
+        alone_settled += alone.back().stats.iterations;
+      }
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        ExecutionReport report;
+        const std::vector<LocalQueryResult> grouped = RunSites(
+            *site_frag, comp, mix.specs, LocalEngine::kDijkstra, p, &report);
+        ASSERT_EQ(grouped.size(), mix.specs.size());
+        size_t grouped_settled = 0;
+        for (size_t i = 0; i < grouped.size(); ++i) {
+          ExpectSameResult(grouped[i], alone[i], i);
+          grouped_settled += grouped[i].stats.iterations;
+        }
+        // Shared origins settle their nodes once.
+        EXPECT_LT(grouped_settled, alone_settled);
+        EXPECT_EQ(report.sites.size(), mix.specs.size());
+      }
+    }
+  }
+}
+
+TEST_F(PagedFileTest, OneOriginsSpecsShareOneStreamAndOneSearch) {
+  // Fragment 0 is the hub of a star of clusters, so it has three
+  // disconnection sets; v is one of its inner nodes.
+  const LinkedClusters lc = MakeLinkedClusters({{0, 1}, {0, 2}, {0, 3}});
+  const Fragmentation& frag = *lc.frag;
+  const FragmentId f = 0;
+  ASSERT_EQ(frag.FragmentNeighbors(f).size(), 3u);
+  NodeId v = kInvalidNode;
+  for (NodeId node : frag.FragmentNodes(f)) {
+    if (!frag.IsBorderNode(node)) {
+      v = node;
+      break;
+    }
+  }
+  ASSERT_NE(v, kInvalidNode);
+  const DsaDatabase db(&frag);
+  const StoredDatabase paged = SaveAndOpenPaged(db, 4);
+  ASSERT_NE(paged.paged_file, nullptr);
+  const ComplementaryInfo& comp = paged.db->complementary();
+  std::vector<LocalQuerySpec> specs;
+  for (FragmentId g : frag.FragmentNeighbors(f)) {
+    specs.push_back(
+        LocalQuerySpec{f, {v}, SetOf(frag.FindDisconnectionSet(f, g)->nodes)});
+  }
+
+  auto pins = [&] {
+    const BufferPoolStats stats = paged.paged_file->stats();
+    return stats.hits + stats.misses;
+  };
+  uint64_t before = pins();
+  ASSERT_TRUE(comp.ForFragment(f).ForEach([](const PathTuple&) {}).ok());
+  const uint64_t extent_pages = pins() - before;
+  ASSERT_GT(extent_pages, 1u);
+
+  std::vector<LocalQueryResult> alone;
+  size_t most_settled = 0;
+  for (const LocalQuerySpec& spec : specs) {
+    alone.push_back(RunLocalQuery(*paged.frag, &comp, spec));
+    most_settled = std::max(most_settled, alone.back().stats.iterations);
+  }
+
+  ThreadPool pool(4);
+  before = pins();
+  const std::vector<LocalQueryResult> grouped = RunSites(
+      *paged.frag, &comp, specs, LocalEngine::kDijkstra, &pool, nullptr);
+  EXPECT_EQ(pins() - before, extent_pages);
+  size_t settled = 0;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    ExpectSameResult(grouped[i], alone[i], i);
+    EXPECT_GT(grouped[i].paths.size(), 0u);
+    settled += grouped[i].stats.iterations;
+  }
+  // One search from v, stopped at the last node of the three sets: as
+  // far as the longest of the three searches alone.
+  EXPECT_EQ(settled, most_settled);
+}
+
+uint64_t ReadU64(const std::vector<char>& bytes, size_t at) {
+  uint64_t value = 0;
+  for (size_t i = 0; i < 8; ++i) {
+    value |= uint64_t{static_cast<uint8_t>(bytes[at + i])} << (8 * i);
+  }
+  return value;
+}
+
+TEST_F(PagedFileTest, CorruptFragmentFailsExactlyTheQueriesThatUseIt) {
+  // A line of clusters 0 - 1 - 2 - 3: a query between the last two
+  // clusters never needs the first fragment, and the reverse.
+  const LinkedClusters lc = MakeLinkedClusters({{0, 1}, {1, 2}, {2, 3}});
+  const Graph& g = lc.t.graph;
+  const Fragmentation& frag = *lc.frag;
+  const DsaDatabase fresh(&frag);
+  const StoredDatabase paged = SaveAndOpenPaged(fresh, 4);
+  ASSERT_NE(paged.db, nullptr);
+
+  // Fragment extents from the file: the superblock's directory extent
+  // (payload offset 112), then one {first_page, byte_len, tuple_count}
+  // entry per fragment after the directory's count (docs/STORAGE.md).
+  std::vector<char> file;
+  {
+    std::ifstream in(path_, std::ios::binary);
+    file.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  const size_t payload = kPageHeaderSize;
+  const uint64_t directory = ReadU64(file, payload + 112) * kMinPageSize;
+  ASSERT_EQ(ReadU64(file, directory + payload), frag.NumFragments());
+  FragmentId corrupt = 0;
+  uint64_t first_page = 0;
+  uint64_t num_pages = 0;
+  for (FragmentId f = 0; f < frag.NumFragments(); ++f) {
+    const size_t entry = directory + payload + 8 + 24 * f;
+    const uint64_t pages =
+        (ReadU64(file, entry + 8) + PagePayloadCapacity(kMinPageSize) - 1) /
+        PagePayloadCapacity(kMinPageSize);
+    if (pages > num_pages) {
+      corrupt = f;
+      first_page = ReadU64(file, entry);
+      num_pages = pages;
+    }
+  }
+  // More pages than the pool has frames: a stream of the fragment cannot
+  // be served from frames filled before the corruption.
+  ASSERT_GT(num_pages, 4u);
+
+  // After the clean open, flip one payload byte of each of its pages.
+  {
+    std::fstream io(path_, std::ios::in | std::ios::out | std::ios::binary);
+    for (uint64_t p = first_page; p < first_page + num_pages; ++p) {
+      const auto at = static_cast<std::streamoff>(p * kMinPageSize + payload);
+      io.seekp(at);
+      const char flipped = static_cast<char>(file[at] ^ 0x5A);
+      io.write(&flipped, 1);
+    }
+    ASSERT_TRUE(io.good());
+  }
+
+  std::vector<Query> queries;
+  Rng rng(31);
+  for (int i = 0; i < 200; ++i) {
+    const auto from = static_cast<NodeId>(rng.NextBounded(g.NumNodes()));
+    const auto to = static_cast<NodeId>(rng.NextBounded(g.NumNodes()));
+    if (from != to) queries.push_back(Query{from, to, QueryKind::kCost});
+  }
+  const BatchResult batch = BatchExecutor(paged.db.get()).Execute(queries);
+  size_t failed = 0;
+  size_t answered = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const auto [from, to, kind] = queries[i];
+    const QueryAnswer want = fresh.ShortestPath(from, to);
+    const QueryAnswer& got = batch.answers[i].answer;
+    const bool uses_corrupt =
+        std::count(want.fragments_involved.begin(),
+                   want.fragments_involved.end(), corrupt) > 0;
+    if (uses_corrupt) {
+      EXPECT_EQ(got.status.code(), StatusCode::kIOError)
+          << from << "->" << to << ": " << got.status.ToString();
+      ++failed;
+    } else {
+      ASSERT_TRUE(got.status.ok()) << from << "->" << to << ": "
+                                   << got.status.ToString();
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.cost),
+                std::bit_cast<uint64_t>(want.cost))
+          << from << "->" << to;
+      const Weight oracle = Dijkstra(g, from).distance[to];
+      if (oracle == kInfinity) {
+        EXPECT_FALSE(got.connected);
+      } else {
+        EXPECT_NEAR(got.cost, oracle, 1e-9 * std::max(1.0, oracle));
+      }
+      ++answered;
+    }
+  }
+  EXPECT_GT(failed, 0u);
+  EXPECT_GT(answered, 0u);
 }
 
 TEST(AssembleChain, FoldsMinPlusJoins) {

@@ -1,16 +1,21 @@
-# Runs `tcfragd FLAG VALUE` and requires a clean rejection: exit code 2 and
-# a stderr line containing EXPECT (default: `tcfragd: FLAG must be`, the
-# start of the line naming the flag and its accepted range). An abort (a
-# signal, not an exit code) fails, and so does a daemon that accepts the
-# value and starts listening (the timeout kills it).
+# Runs `tcfragd FLAG VALUE` (`tcfragd FLAG` when VALUE is not given) and
+# requires a clean rejection: exit code 2 and a stderr line containing
+# EXPECT (default: `tcfragd: FLAG must be`, the start of the line naming
+# the flag and its accepted range). An abort (a signal, not an exit code)
+# fails, and so does a daemon that accepts the value and starts listening
+# (the timeout kills it).
 #
-#   cmake -DTCFRAGD=<path> -DFLAG=<--flag> -DVALUE=<value>
+#   cmake -DTCFRAGD=<path> -DFLAG=<--flag> [-DVALUE=<value>]
 #         [-DEXPECT=<stderr text>] -P <this file>
 if(NOT DEFINED EXPECT)
   set(EXPECT "tcfragd: ${FLAG} must be")
 endif()
+set(args "${FLAG}")
+if(DEFINED VALUE)
+  list(APPEND args "${VALUE}")
+endif()
 execute_process(
-  COMMAND "${TCFRAGD}" "${FLAG}" "${VALUE}"
+  COMMAND "${TCFRAGD}" ${args}
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err

@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -111,45 +112,82 @@ bool ParseInRange(const std::string& flag, const char* text, T lo, T hi,
 // the service at least one fragment and one query per batch, and a
 // budget must survive the MiB-to-bytes shift. The upper bounds keep a
 // typo from asking for more nodes or fragment threads than a daemon can
-// hold.
+// hold. Every flag takes a value; an unknown flag is named as such even
+// when it comes last.
 bool ParseFlags(int argc, char** argv, Flags* flags) {
+  struct FlagSpec {
+    const char* name;
+    std::function<bool(const std::string& flag, const char* value)> set;
+  };
+  const FlagSpec specs[] = {
+      {"--port",
+       [&](const std::string& f, const char* v) {
+         return ParseInRange<uint16_t>(f, v, 0, 65535, &flags->port);
+       }},
+      {"--bind",
+       [&](const std::string&, const char* v) {
+         flags->bind = v;
+         return true;
+       }},
+      {"--clusters",
+       [&](const std::string& f, const char* v) {
+         return ParseInRange<size_t>(f, v, 1, 1024, &flags->clusters);
+       }},
+      {"--nodes-per-cluster",
+       [&](const std::string& f, const char* v) {
+         return ParseInRange<size_t>(f, v, 2, 4096,
+                                     &flags->nodes_per_cluster);
+       }},
+      {"--edges-per-cluster",
+       [&](const std::string& f, const char* v) {
+         return ParseInRange<double>(f, v, 0.0, 1e8,
+                                     &flags->edges_per_cluster);
+       }},
+      {"--fragments",
+       [&](const std::string& f, const char* v) {
+         return ParseInRange<size_t>(f, v, 1, 1024, &flags->fragments);
+       }},
+      {"--seed",
+       [&](const std::string& f, const char* v) {
+         return ParseInRange<uint64_t>(f, v, 0, UINT64_MAX, &flags->seed);
+       }},
+      {"--max-batch",
+       [&](const std::string& f, const char* v) {
+         return ParseInRange<size_t>(f, v, 1, 65536, &flags->max_batch);
+       }},
+      {"--flush-workers",
+       [&](const std::string& f, const char* v) {
+         return ParseInRange<size_t>(f, v, 0, 64, &flags->flush_workers);
+       }},
+      {"--db",
+       [&](const std::string&, const char* v) {
+         flags->db_path = v;
+         return true;
+       }},
+      {"--memory-budget-mb",
+       [&](const std::string& f, const char* v) {
+         return ParseInRange<size_t>(f, v, 0, SIZE_MAX >> 20,
+                                     &flags->memory_budget_mb);
+       }},
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (i + 1 == argc) {  // every flag takes a value
-      Usage(argv[0]);
-      return false;
+    const FlagSpec* spec = nullptr;
+    for (const FlagSpec& s : specs) {
+      if (arg == s.name) spec = &s;
     }
-    const char* v = argv[++i];
-    bool ok = true;
-    if (arg == "--port") {
-      ok = ParseInRange<uint16_t>(arg, v, 0, 65535, &flags->port);
-    } else if (arg == "--bind") {
-      flags->bind = v;
-    } else if (arg == "--clusters") {
-      ok = ParseInRange<size_t>(arg, v, 1, 1024, &flags->clusters);
-    } else if (arg == "--nodes-per-cluster") {
-      ok = ParseInRange<size_t>(arg, v, 2, 4096, &flags->nodes_per_cluster);
-    } else if (arg == "--edges-per-cluster") {
-      ok = ParseInRange<double>(arg, v, 0.0, 1e8, &flags->edges_per_cluster);
-    } else if (arg == "--fragments") {
-      ok = ParseInRange<size_t>(arg, v, 1, 1024, &flags->fragments);
-    } else if (arg == "--seed") {
-      ok = ParseInRange<uint64_t>(arg, v, 0, UINT64_MAX, &flags->seed);
-    } else if (arg == "--max-batch") {
-      ok = ParseInRange<size_t>(arg, v, 1, 65536, &flags->max_batch);
-    } else if (arg == "--flush-workers") {
-      ok = ParseInRange<size_t>(arg, v, 0, 64, &flags->flush_workers);
-    } else if (arg == "--db") {
-      flags->db_path = v;
-    } else if (arg == "--memory-budget-mb") {
-      ok = ParseInRange<size_t>(arg, v, 0, SIZE_MAX >> 20,
-                                &flags->memory_budget_mb);
-    } else {
+    if (spec == nullptr) {
       std::fprintf(stderr, "tcfragd: unknown flag '%s'\n", arg.c_str());
       Usage(argv[0]);
       return false;
     }
-    if (!ok) return false;
+    if (i + 1 == argc) {
+      std::fprintf(stderr, "tcfragd: flag '%s' needs a value\n",
+                   arg.c_str());
+      Usage(argv[0]);
+      return false;
+    }
+    if (!spec->set(arg, argv[++i])) return false;
   }
   return true;
 }
