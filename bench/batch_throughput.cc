@@ -6,14 +6,15 @@
 // single-query series. Reports queries/sec for both paths, the batch
 // speed-up, the planning-phase time, the cross-query subquery
 // deduplication savings, the chain-plan (skeleton) cache hit rate, and the
-// plan-memo skip rate — the sharing effects that make batching pay,
-// especially on the hot-pair mix.
+// share of queries whose (from, to) pair repeats an earlier one ("plan
+// skips") — the sharing effects that make batching pay, especially on the
+// hot-pair mix.
 //
 // A second section sweeps the coordinator thread count on a large uniform
-// batch: planning runs in parallel on the database pool over the sharded
-// subquery table, so the planning phase should scale with threads (and
-// end-to-end throughput must not regress). `batch_throughput [N]` sets the
-// sweep's batch size (default 10000).
+// batch: planning runs on the database pool (pairs in ranges, then one
+// dedup task per fragment), so the planning phase should not grow with
+// threads (and end-to-end throughput must not regress).
+// `batch_throughput [N]` sets the sweep's batch size (default 10000).
 #include <cstdio>
 #include <cstdlib>
 

@@ -23,8 +23,7 @@ BatchResult BatchExecutor::Execute(const std::vector<Query>& queries) const {
   WallTimer batch_timer;
 
   // Validate up front (cheap next to planning), then plan the whole batch
-  // through the shared parallel planner — the same sharded plan memo +
-  // spec table path the SiteNetwork coordinator uses.
+  // through the one planner the SiteNetwork coordinator also uses.
   WallTimer plan_timer;
   std::vector<std::pair<NodeId, NodeId>> endpoints;
   endpoints.reserve(queries.size());
@@ -47,8 +46,8 @@ BatchResult BatchExecutor::Execute(const std::vector<Query>& queries) const {
     }
   }
   result.stats.plan_memo_hits = planned.memo_hits;
-  result.stats.plan_memo_misses = planned.distinct_plans();
-  result.stats.interned_plan_misses = planned.distinct_plans();
+  result.stats.plan_memo_misses = planned.distinct.size();
+  result.stats.interned_plan_misses = planned.distinct.size();
   result.stats.subqueries_executed = flat_specs.size();
   result.stats.plan_seconds = plan_timer.ElapsedSeconds();
 

@@ -3,27 +3,25 @@
 // as well as across chains, so a batch of queries is executed as one big
 // fan-out:
 //
-//   1. plan every query *in parallel* on the database's shared ThreadPool:
-//      each (from, to) pair is planned exactly once into a per-batch plan
-//      memo (repeats — the whole point of hot-pair traffic — skip planning
-//      outright) by stamping its endpoints into the cached chain skeletons
-//      of its endpoint-fragment pairs (see dsa/chains.h),
-//   2. intern all keyhole subqueries into one mutex-striped
-//      SubqueryTable, so queries that hit the same (fragment,
-//      source-DS, target-DS) triple share a single site computation — and
-//      interning itself no longer serializes the coordinator,
-//   3. seal the sharded table into one flat spec vector and run the
-//      deduplicated subqueries on the same pool in one RunSites call,
-//      grouped by fragment so that a task streams its fragment's shortcut
-//      relation once (no per-query pools, no per-query barriers),
+//   1. plan the batch (PlanBatchInParallel, dsa/executor.h): its (from, to)
+//      pairs are sorted and deduplicated, so each distinct pair is planned
+//      once — repeats, the whole point of hot-pair traffic, share its plan
+//      — by stamping its endpoints into the cached chain skeletons of its
+//      endpoint-fragment pairs (see dsa/chains.h),
+//   2. deduplicate the planned hops fragment by fragment, as the paper's
+//      sites would: queries that hit the same (fragment, source-DS,
+//      target-DS) selection share a single site computation, and the flat
+//      spec vector comes out grouped by fragment,
+//   3. run the deduplicated subqueries on the database's pool in one
+//      RunSites call, grouped by fragment so that a task streams its
+//      fragment's shortcut relation once (no per-query pools, no per-query
+//      barriers),
 //   4. assemble every query's answer in parallel on the same pool (pure
 //      reads of the shared phase-1 results).
 //
-// Parallel planning is answer-preserving: plans, spec contents, dedup
-// counts, and every per-query answer are identical to a sequential
-// planning loop. Only the spec numbering depends on scheduling, which
-// shows solely as the ordering of BatchResult::report.sites (a multiset
-// that is itself scheduling-stable).
+// Planning is deterministic: the plans, the specs and their numbering, the
+// dedup counts and every per-query answer depend only on the batch, never
+// on the pool's thread count or on scheduling.
 //
 // BatchExecutor is stateless apart from the database reference: Execute()
 // is const, re-entrant, and may run concurrently with other batches. It is
@@ -56,16 +54,16 @@ struct BatchStats {
   /// Chain-hop subquery requests before cross-query deduplication (every
   /// hop of every chain of every query).
   size_t subqueries_requested = 0;
-  /// Distinct subqueries actually executed (the sealed spec table's size).
+  /// Distinct subqueries actually executed (the flat spec vector's size).
   size_t subqueries_executed = 0;
   /// Skeleton-cache (ChainPlanCache) hits/misses for this batch's
   /// fragment-pair lookups. Each distinct (from, to) pair is planned once,
   /// so these count per *distinct* pair, not per query.
   size_t plan_cache_hits = 0;
   size_t plan_cache_misses = 0;
-  /// Plan-memo reuse inside this batch: a hit is a query whose
-  /// (from, to) pair was already planned — it skipped chain lookup and
-  /// subquery interning entirely. Misses count the distinct pairs planned.
+  /// Pair reuse inside this batch: a hit is a non-trivial query whose
+  /// (from, to) pair another query of the batch repeats, so the two share
+  /// one plan; misses count the distinct pairs planned.
   size_t plan_memo_hits = 0;
   size_t plan_memo_misses = 0;
   /// Kept only for perfbench: always 0.
@@ -73,7 +71,7 @@ struct BatchStats {
   /// Kept only for perfbench: the distinct pairs planned (plan_memo_misses).
   size_t interned_plan_misses = 0;
 
-  double plan_seconds = 0.0;      // parallel planning + interning
+  double plan_seconds = 0.0;      // planning + subquery dedup
   double phase1_seconds = 0.0;    // parallel subquery fan-out
   double assemble_seconds = 0.0;  // parallel per-query assembly
   double wall_seconds = 0.0;      // whole Execute() call
@@ -91,9 +89,8 @@ struct BatchStats {
     return lookups == 0 ? 0.0
                         : static_cast<double>(plan_cache_hits) / lookups;
   }
-  /// Fraction of non-trivial queries that skipped planning entirely
-  /// because their (from, to) pair was already interned (≈1 on hot-pair
-  /// workloads).
+  /// Fraction of non-trivial queries that skipped planning because their
+  /// (from, to) pair repeats another query's (≈1 on hot-pair workloads).
   double PlanMemoHitRate() const {
     const size_t lookups = plan_memo_hits + plan_memo_misses;
     return lookups == 0 ? 0.0

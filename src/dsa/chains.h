@@ -6,8 +6,8 @@
 //
 // On top of raw chain enumeration this header defines the *plan skeleton*:
 // a fragment pair's chains fully expanded into per-hop subquery templates
-// (fragment + keyhole selections, pre-sorted for interning). A skeleton
-// depends only on the fragmentation — not on the query constants — so the
+// (fragment + keyhole selections, pre-sorted). A skeleton depends only on
+// the fragmentation — not on the query constants — so the
 // ChainPlanCache keeps whole skeletons resident and a query is planned by
 // stamping its two endpoints into the cached skeletons of its endpoint
 // fragments (PlanBatchInParallel in dsa/executor.h), skipping both chain
@@ -22,20 +22,6 @@
 #include "util/lru_cache.h"
 
 namespace tcf {
-
-/// Hash for PairKey-encoded (from, to) keys in sharded plan memos.
-/// std::hash<uint64_t> is the identity on the common standard libraries,
-/// which would shard a memo by `to % num_shards` — a
-/// hub-destination batch would then serialize all planning on one shard
-/// mutex. Finalize with a full-avalanche mix (splitmix64) instead.
-struct PairKeyHash {
-  size_t operator()(uint64_t key) const {
-    key += 0x9e3779b97f4a7c15ull;
-    key = (key ^ (key >> 30)) * 0xbf58476d1ce4e5b9ull;
-    key = (key ^ (key >> 27)) * 0x94d049bb133111ebull;
-    return static_cast<size_t>(key ^ (key >> 31));
-  }
-};
 
 using FragmentChain = std::vector<FragmentId>;
 
@@ -54,8 +40,8 @@ std::vector<FragmentChain> FindChains(const Fragmentation& frag,
                                       size_t max_chains = 64);
 
 /// One hop of a plan skeleton: the fragment plus its keyhole selections,
-/// already sorted the way subquery interning wants them. An endpoint hop
-/// (first / last of a chain) has no fixed selection — the planner
+/// sorted, so the planner's dedup compares them as they are. An endpoint
+/// hop (first / last of a chain) has no fixed selection — the planner
 /// substitutes the query constant — so its side is flagged and left empty.
 struct HopTemplate {
   FragmentId fragment = 0;

@@ -1,8 +1,11 @@
 #include "dsa/executor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <compare>
+#include <iterator>
+#include <memory>
+#include <span>
+#include <string>
 
 #include "graph/algorithms.h"
 #include "util/timer.h"
@@ -32,98 +35,119 @@ void ExecutionReport::Merge(const ExecutionReport& other) {
 
 namespace {
 
-// Materializes the spec a key denotes.
-LocalQuerySpec SpecFromKey(const SpecKey& key) {
-  LocalQuerySpec spec;
-  spec.fragment = std::get<0>(key);
-  spec.sources = NodeSet(std::get<1>(key).begin(), std::get<1>(key).end());
-  spec.targets = NodeSet(std::get<2>(key).begin(), std::get<2>(key).end());
-  return spec;
-}
+// A batch with fewer chains than this is planned on the calling thread:
+// its chains take less time to stamp and deduplicate than a round trip
+// through a pool that phase-1 tasks of concurrent batches also queue on.
+constexpr size_t kPoolPlanChains = 512;
 
-}  // namespace
+// A distinct pair's skeletons, one per pair of its endpoints' fragments,
+// held until the batch's hops are deduplicated because a concurrent batch
+// may evict them from the cache meanwhile; and the hop templates its
+// chains were stamped from: `templates[c][h]` is hop h of chain c.
+struct PairSkeletons {
+  std::vector<std::shared_ptr<const PlanSkeleton>> skeletons;
+  std::vector<const HopTemplate*> templates;
+};
 
-size_t SpecKeyHash::operator()(const SpecKey& key) const {
-  // FNV-ish combine; the node lists are sorted, so equal specs always
-  // produce equal hashes.
-  uint64_t h = 0x9e3779b97f4a7c15ull ^ std::get<0>(key);
-  auto mix = [&h](const std::vector<NodeId>& nodes) {
-    h ^= nodes.size() + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    for (NodeId n : nodes) {
-      h ^= n + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    }
-  };
-  mix(std::get<1>(key));
-  mix(std::get<2>(key));
-  return static_cast<size_t>(h);
-}
-
-SubqueryTable::SubqueryTable(size_t num_shards) : table_(num_shards) {}
-
-size_t SubqueryTable::Intern(SpecKey key) {
-  auto result = table_.Intern(
-      std::move(key), [](const SpecKey& k) { return SpecFromKey(k); });
-  return static_cast<size_t>(result.handle);
-}
-
-size_t SubqueryTable::Flat::IndexOf(size_t ref) const {
-  using Table = ShardedTable<SpecKey, LocalQuerySpec, SpecKeyHash>;
-  return offsets[Table::ShardOf(ref)] + Table::SlotOf(ref);
-}
-
-SubqueryTable::Flat SubqueryTable::Flatten() {
-  auto flattened = table_.Flatten();
-  Flat flat;
-  flat.specs = std::move(flattened.values);
-  flat.offsets = std::move(flattened.offsets);
-  return flat;
-}
-
-namespace {
-
-// Appends one chain to `plan`: stamp the query constants into the hop
-// templates and intern one subquery per hop — shared between chains and
-// between a batch's queries when identical, so a fragment computes each
-// selection once.
-void StampChain(const FragmentChain& chain,
-                const std::vector<HopTemplate>& hops, NodeId from, NodeId to,
-                SubqueryTable* specs, QueryPlan* plan) {
-  plan->chains.push_back(chain);
-  std::vector<size_t>& refs = plan->chain_specs.emplace_back();
-  refs.reserve(hops.size());
-  for (const HopTemplate& hop : hops) {
-    SpecKey key(hop.fragment,
-                hop.source_is_endpoint ? std::vector<NodeId>{from}
-                                       : hop.sources,
-                hop.target_is_endpoint ? std::vector<NodeId>{to}
-                                       : hop.targets);
-    refs.push_back(specs->Intern(std::move(key)));
-  }
-}
-
-// Plans one (from, to) pair from the cached skeletons of its endpoint
-// fragments. A border node lives in several fragments and every one of
-// them is a valid chain endpoint, so each endpoint-fragment pair
+// Stamps a pair's chains into `plan`, leaving the spec indices for the
+// per-fragment dedup. A border node lives in several fragments and every
+// one of them is a valid chain endpoint, so each endpoint-fragment pair
 // contributes its chains. A chain begins in its pair's first fragment and
 // ends in its second, so chains of different pairs never coincide and no
 // chain is taken twice.
-QueryPlan BuildPlan(const Fragmentation& frag, NodeId from, NodeId to,
-                    size_t max_chains, ChainPlanCache* cache,
-                    SubqueryTable* specs) {
-  QueryPlan plan;
-  for (FragmentId fa : frag.FragmentsOfNode(from)) {
-    for (FragmentId fb : frag.FragmentsOfNode(to)) {
-      bool was_hit = false;
-      std::shared_ptr<const PlanSkeleton> skeleton =
-          cache->SkeletonFor(frag, fa, fb, max_chains, &was_hit);
-      (was_hit ? plan.cache_hits : plan.cache_misses) += 1;
-      for (size_t c = 0; c < skeleton->chains.size(); ++c) {
-        StampChain(skeleton->chains[c], skeleton->hops[c], from, to, specs,
-                   &plan);
+void StampChains(PairSkeletons& pair, QueryPlan* plan) {
+  for (const std::shared_ptr<const PlanSkeleton>& skeleton : pair.skeletons) {
+    for (size_t c = 0; c < skeleton->chains.size(); ++c) {
+      plan->chains.push_back(skeleton->chains[c]);
+      plan->chain_specs.emplace_back(skeleton->chains[c].size());
+      pair.templates.push_back(skeleton->hops[c].data());
+    }
+  }
+}
+
+// Tags a side key as a query endpoint rather than a neighbouring fragment.
+constexpr uint64_t kEndpointKey = uint64_t{1} << 32;
+
+// A planned hop awaiting its spec index: its template, the query
+// endpoints stamped into it, and the plan slot the index goes to. A side
+// selects the query endpoint or the disconnection set toward the
+// neighbouring fragment on the chain, so equal side keys (the tagged
+// endpoint, or that neighbour) mean equal selections without reading them.
+struct HopRef {
+  const HopTemplate* hop;
+  NodeId from;
+  NodeId to;
+  uint64_t source_key;
+  uint64_t target_key;
+  size_t* slot;
+};
+
+std::span<const NodeId> Sources(const HopRef& r) {
+  return r.hop->source_is_endpoint ? std::span<const NodeId>(&r.from, 1)
+                                   : std::span<const NodeId>(r.hop->sources);
+}
+
+std::span<const NodeId> Targets(const HopRef& r) {
+  return r.hop->target_is_endpoint ? std::span<const NodeId>(&r.to, 1)
+                                   : std::span<const NodeId>(r.hop->targets);
+}
+
+std::strong_ordering CompareNodes(std::span<const NodeId> a,
+                                  std::span<const NodeId> b) {
+  return std::lexicographical_compare_three_way(a.begin(), a.end(),
+                                                b.begin(), b.end());
+}
+
+// Orders a fragment's hops by their selections: sources, then targets.
+std::strong_ordering CompareSelections(const HopRef& a, const HopRef& b) {
+  if (a.source_key != b.source_key) {
+    if (auto c = CompareNodes(Sources(a), Sources(b)); c != 0) return c;
+  }
+  if (a.target_key == b.target_key) return std::strong_ordering::equal;
+  return CompareNodes(Targets(a), Targets(b));
+}
+
+// Deduplicates fragment `f`'s hops of the batch's plans by their
+// selections: numbers the distinct selections from 0 in selection order,
+// writes each hop's number into its plan slot and returns the specs in
+// that order. Writes only the slots of `f`'s hops.
+std::vector<LocalQuerySpec> DedupFragment(
+    FragmentId f, const std::vector<uint64_t>& pairs,
+    std::vector<QueryPlan>& plans, const std::vector<PairSkeletons>& held) {
+  thread_local std::vector<HopRef> refs;  // per-thread scratch
+  refs.clear();
+  for (size_t p = 0; p < plans.size(); ++p) {
+    const NodeId from = static_cast<NodeId>(pairs[p] >> 32);
+    const NodeId to = static_cast<NodeId>(pairs[p]);
+    for (size_t c = 0; c < plans[p].chains.size(); ++c) {
+      const FragmentChain& chain = plans[p].chains[c];
+      for (size_t h = 0; h < chain.size(); ++h) {
+        if (chain[h] != f) continue;
+        const HopTemplate& hop = held[p].templates[c][h];
+        refs.push_back(HopRef{
+            &hop, from, to,
+            hop.source_is_endpoint ? kEndpointKey | from : chain[h - 1],
+            hop.target_is_endpoint ? kEndpointKey | to : chain[h + 1],
+            &plans[p].chain_specs[c][h]});
       }
     }
   }
-  return plan;
+  std::sort(refs.begin(), refs.end(), [](const HopRef& a, const HopRef& b) {
+    return CompareSelections(a, b) < 0;
+  });
+  std::vector<LocalQuerySpec> specs;
+  for (size_t i = 0; i < refs.size(); ++i) {
+    if (i == 0 || CompareSelections(refs[i - 1], refs[i]) != 0) {
+      const std::span<const NodeId> sources = Sources(refs[i]);
+      const std::span<const NodeId> targets = Targets(refs[i]);
+      LocalQuerySpec& spec = specs.emplace_back();
+      spec.fragment = f;
+      spec.sources = NodeSet(sources.begin(), sources.end());
+      spec.targets = NodeSet(targets.begin(), targets.end());
+    }
+    *refs[i].slot = specs.size() - 1;
+  }
+  return specs;
 }
 
 }  // namespace
@@ -133,55 +157,82 @@ ParallelPlanResult PlanBatchInParallel(
     const std::vector<std::pair<NodeId, NodeId>>& endpoints,
     size_t max_chains, ChainPlanCache* chain_cache, ThreadPool* pool) {
   TCF_CHECK(chain_cache != nullptr);
-  // Shards buy concurrency, which a small batch cannot use; each costs a
-  // mutex and a deque, and a batch of one would pay for 64 of them.
-  const size_t num_shards = std::clamp<size_t>(endpoints.size(), 1, 64);
   ParallelPlanResult out;
-  out.plans.assign(endpoints.size(), nullptr);
-  out.memo = std::make_unique<
-      ShardedTable<uint64_t, QueryPlan, PairKeyHash>>(num_shards);
-  SubqueryTable specs(num_shards);
-  std::atomic<size_t> memo_hits{0};
 
-  // Two layers of reuse keep the coordinator scalable: the per-batch plan
-  // memo interns whole plans by (from, to) — repeats (hot-pair traffic)
-  // skip even spec interning — and the sharded spec table interns keyhole
-  // subqueries without a global lock, so identical selections within a
-  // query's chains or across queries are computed once. Plan refs stay
-  // shard-encoded until the table is sealed below.
-  auto plan_range = [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const auto [from, to] = endpoints[i];
-      if (from == to) continue;
-      auto interned = out.memo->Intern(
-          PairKey(from, to),
-          [&](const uint64_t&) {
-            return BuildPlan(frag, from, to, max_chains, chain_cache, &specs);
-          });
-      out.plans[i] = interned.value;
-      if (!interned.inserted) {
-        memo_hits.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  };
-  if (pool != nullptr) {
-    pool->ParallelForRanges(endpoints.size(), plan_range);
-  } else {
-    plan_range(0, endpoints.size());
+  // Each distinct pair is planned once; repeats (hot-pair traffic) share
+  // its plan.
+  std::vector<uint64_t> pairs;
+  pairs.reserve(endpoints.size());
+  for (const auto& [from, to] : endpoints) {
+    if (from != to) pairs.push_back(PairKey(from, to));
+  }
+  std::sort(pairs.begin(), pairs.end());
+  out.memo_hits = pairs.size();
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  out.memo_hits -= pairs.size();
+  out.distinct.resize(pairs.size());
+  out.plans.assign(endpoints.size(), nullptr);
+  for (size_t i = 0; i < endpoints.size(); ++i) {
+    const auto [from, to] = endpoints[i];
+    if (from == to) continue;
+    out.plans[i] = &out.distinct[std::lower_bound(pairs.begin(), pairs.end(),
+                                                  PairKey(from, to)) -
+                                 pairs.begin()];
   }
 
-  // Seal the sharded table into the flat spec vector phase 1 consumes,
-  // and rewrite each distinct plan's shard handles to flat indices —
-  // once per plan, not per endpoint pair.
-  out.flat = specs.Flatten();
-  out.memo->ForEach([&](QueryPlan& plan) {
-    for (std::vector<size_t>& hops : plan.chain_specs) {
-      for (size_t& ref : hops) ref = out.flat.IndexOf(ref);
+  // Look up every pair's skeletons, which also sizes the batch's work.
+  std::vector<PairSkeletons> held(pairs.size());
+  size_t chains = 0;
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    const NodeId from = static_cast<NodeId>(pairs[p] >> 32);
+    const NodeId to = static_cast<NodeId>(pairs[p]);
+    for (FragmentId fa : frag.FragmentsOfNode(from)) {
+      for (FragmentId fb : frag.FragmentsOfNode(to)) {
+        bool was_hit = false;
+        held[p].skeletons.push_back(
+            chain_cache->SkeletonFor(frag, fa, fb, max_chains, &was_hit));
+        (was_hit ? out.cache_hits : out.cache_misses) += 1;
+        chains += held[p].skeletons.back()->chains.size();
+      }
     }
-    out.cache_hits += plan.cache_hits;
-    out.cache_misses += plan.cache_misses;
-  });
-  out.memo_hits = memo_hits.load(std::memory_order_relaxed);
+  }
+  if (chains < kPoolPlanChains) pool = nullptr;
+
+  // Stamp the chains, ranges of pairs in parallel; then deduplicate the
+  // hops, one task per fragment.
+  auto stamp_range = [&](size_t begin, size_t end) {
+    for (size_t p = begin; p < end; ++p) {
+      StampChains(held[p], &out.distinct[p]);
+    }
+  };
+  std::vector<std::vector<LocalQuerySpec>> specs(frag.NumFragments());
+  auto dedup = [&](size_t f) {
+    specs[f] = DedupFragment(static_cast<FragmentId>(f), pairs, out.distinct,
+                             held);
+  };
+  if (pool != nullptr) {
+    pool->ParallelForRanges(pairs.size(), stamp_range);
+    pool->ParallelFor(specs.size(), dedup);
+  } else {
+    stamp_range(0, pairs.size());
+    for (size_t f = 0; f < specs.size(); ++f) dedup(f);
+  }
+
+  // Emit the specs fragment by fragment, and offset every plan slot's
+  // fragment-local index by its fragment's first flat index.
+  std::vector<size_t> first(specs.size(), 0);
+  for (size_t f = 0; f < specs.size(); ++f) {
+    first[f] = out.flat.specs.size();
+    std::move(specs[f].begin(), specs[f].end(),
+              std::back_inserter(out.flat.specs));
+  }
+  for (QueryPlan& plan : out.distinct) {
+    for (size_t c = 0; c < plan.chains.size(); ++c) {
+      for (size_t h = 0; h < plan.chains[c].size(); ++h) {
+        plan.chain_specs[c][h] += first[plan.chains[c][h]];
+      }
+    }
+  }
   return out;
 }
 
@@ -491,6 +542,16 @@ RouteAnswer AssembleRouteAnswer(const Fragmentation& frag,
 
   // Expand each leg inside its fragment's augmented graph; shortcut hops
   // (edge ids past the real-edge count) are replaced by their witnesses.
+  // A leg that cannot be expanded fails the route query just like a
+  // phase-1 failure would.
+  auto fail = [&](Status status) {
+    out.answer = QueryAnswer();
+    out.answer.chains_considered = plan.chains.size();
+    out.answer.status = std::move(status);
+    out.route.clear();
+    if (report != nullptr) report->assembly_seconds += timer.ElapsedSeconds();
+    return std::move(out);
+  };
   const FragmentChain& chain = plan.chains[best_chain];
   out.route = {from};
   for (size_t i = 0; i < chain.size(); ++i) {
@@ -500,18 +561,8 @@ RouteAnswer AssembleRouteAnswer(const Fragmentation& frag,
     size_t real_edges = 0;
     Result<Graph> built = BuildAugmentedFragment(frag, &complementary,
                                                  chain[i], &real_edges);
-    if (!built.ok()) {
-      // The re-expansion re-reads the shortcut store; a read failure here
-      // fails the route query just like a phase-1 failure would.
-      out.answer = QueryAnswer();
-      out.answer.chains_considered = plan.chains.size();
-      out.answer.status = built.status();
-      out.route.clear();
-      if (report != nullptr) {
-        report->assembly_seconds += timer.ElapsedSeconds();
-      }
-      return out;
-    }
+    // The re-expansion re-reads the shortcut store.
+    if (!built.ok()) return fail(built.status());
     const Graph augmented = std::move(built).value();
     ShortestPaths sp = Dijkstra(augmented, u);
     TCF_CHECK_MSG(sp.distance[v] != kInfinity,
@@ -521,11 +572,19 @@ RouteAnswer AssembleRouteAnswer(const Fragmentation& frag,
     for (size_t k = 0; k < edges.size(); ++k) {
       if (edges[k] < real_edges) {
         out.route.push_back(nodes[k + 1]);
-      } else {
-        const auto& witness =
-            complementary.witness.at(PairKey(nodes[k], nodes[k + 1]));
-        out.route.insert(out.route.end(), witness.begin() + 1, witness.end());
+        continue;
       }
+      auto witness =
+          complementary.witness.find(PairKey(nodes[k], nodes[k + 1]));
+      if (witness == complementary.witness.end()) {
+        std::string message = "no witness route for shortcut ";
+        message += std::to_string(nodes[k]);
+        message += "->";
+        message += std::to_string(nodes[k + 1]);
+        return fail(Status::InvalidArgument(message));
+      }
+      out.route.insert(out.route.end(), witness->second.begin() + 1,
+                       witness->second.end());
     }
   }
   if (report != nullptr) report->assembly_seconds += timer.ElapsedSeconds();

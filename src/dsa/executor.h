@@ -14,15 +14,12 @@
 // concurrently.
 #pragma once
 
-#include <memory>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "dsa/chains.h"
 #include "dsa/complementary.h"
 #include "dsa/local_query.h"
-#include "util/sharded_table.h"
 #include "util/thread_pool.h"
 
 namespace tcf {
@@ -75,91 +72,55 @@ struct RouteAnswer {
   std::vector<NodeId> route;
 };
 
-/// Canonical identity of a keyhole subquery: (fragment, sorted sources,
-/// sorted targets). The key carries everything a LocalQuerySpec holds, so
-/// the spec table materializes the spec from the key on first sight.
-using SpecKey =
-    std::tuple<FragmentId, std::vector<NodeId>, std::vector<NodeId>>;
-
-struct SpecKeyHash {
-  size_t operator()(const SpecKey& key) const;
-};
-
-/// The planner's interning table for keyhole subqueries: one entry per
-/// distinct (fragment, sources, targets) triple, so a fragment computes
-/// each selection once no matter how many chains or queries need it.
-/// Mutex-striped shards keyed by the triple's hash let any number of
-/// coordinator threads intern concurrently, contending only on hash
-/// collisions. Intern returns a shard-encoded handle; after planning,
-/// Flatten() seals the table into the flat spec vector the phase-1
-/// fan-out consumes and maps every handle to its flat index.
-class SubqueryTable {
- public:
-  explicit SubqueryTable(size_t num_shards = 64);
-
-  /// Thread-safe. Returns a shard-encoded handle, NOT a flat index.
-  size_t Intern(SpecKey key);
-
-  size_t size() const { return table_.size(); }
-
-  struct Flat {
-    std::vector<LocalQuerySpec> specs;
-    std::vector<size_t> offsets;
-
-    /// Maps an Intern handle to its index in `specs`.
-    size_t IndexOf(size_t ref) const;
-  };
-
-  /// Moves all specs into one flat vector (shard-major order) and leaves
-  /// the table empty. Callers must be quiescent (no concurrent Intern).
-  Flat Flatten();
-
- private:
-  ShardedTable<SpecKey, LocalQuerySpec, SpecKeyHash> table_;
-};
-
 /// The shared front half of every query: the chains connecting the two
-/// endpoint fragments, with each hop resolved to an interned subquery.
+/// endpoint fragments, with each hop resolved to one of the batch's
+/// deduplicated subqueries.
 struct QueryPlan {
   std::vector<FragmentChain> chains;
   /// chain_specs[c][i]: index into the batch's flat spec vector for hop i
   /// of chain c.
   std::vector<std::vector<size_t>> chain_specs;
-  /// Skeleton-cache accounting for this plan's chain lookups.
-  size_t cache_hits = 0;
-  size_t cache_misses = 0;
 };
 
-/// A whole batch of endpoint pairs planned in parallel: one plan pointer
-/// per pair (nullptr for trivial from == to pairs), the sealed flat spec
-/// vector phase 1 consumes, and the sharing/cache accounting. A single
-/// query is a batch of one.
+/// A whole batch of endpoint pairs planned: one plan pointer per pair
+/// (nullptr for trivial from == to pairs), the flat spec vector phase 1
+/// consumes, and the sharing/cache accounting. A single query is a batch
+/// of one. Move-only, because `plans` points into `distinct`.
 struct ParallelPlanResult {
+  ParallelPlanResult() = default;
+  ParallelPlanResult(ParallelPlanResult&&) = default;
+  ParallelPlanResult& operator=(ParallelPlanResult&&) = default;
+  ParallelPlanResult(const ParallelPlanResult&) = delete;
+  ParallelPlanResult& operator=(const ParallelPlanResult&) = delete;
+
   std::vector<const QueryPlan*> plans;
-  SubqueryTable::Flat flat;
-  /// Owns the distinct plans `plans` points into.
-  std::unique_ptr<ShardedTable<uint64_t, QueryPlan, PairKeyHash>> memo;
-  /// Pairs whose (from, to) plan was already interned — they skipped
-  /// chain lookup and subquery interning outright.
+  /// The batch's distinct keyhole subqueries, fragment by fragment.
+  struct Flat {
+    std::vector<LocalQuerySpec> specs;
+  } flat;
+  /// One plan per distinct non-trivial (from, to) pair, in PairKey order.
+  std::vector<QueryPlan> distinct;
+  /// Non-trivial pairs that repeat another pair of the batch: they share
+  /// its plan (non-trivial pairs minus distinct pairs).
   size_t memo_hits = 0;
-  /// Skeleton-cache accounting summed over the distinct plans.
+  /// Skeleton-cache hits and misses of the distinct pairs' lookups.
   size_t cache_hits = 0;
   size_t cache_misses = 0;
-
-  size_t distinct_plans() const { return memo->size(); }
 };
 
 /// The one query planner, shared by DsaDatabase (single queries are
-/// batches of one), BatchExecutor, SiteNetwork and BottleneckDsa: plans
-/// every endpoint pair in parallel on `pool` (sequentially when null).
-/// Each distinct pair is planned once from `chain_cache`'s skeletons of
-/// its endpoint-fragment pairs and interned into a sharded memo by
-/// (from, to), so repeats skip planning; keyhole subqueries intern into
-/// one SubqueryTable batch-wide, and the table is sealed with every
-/// plan's refs rewritten to flat spec indices. Both tables get
-/// clamp(endpoints.size(), 1, 64) shards. `chain_cache` must be non-null.
-/// Endpoints must be in range (callers validate); from == to pairs yield
-/// a null plan.
+/// batches of one), BatchExecutor, SiteNetwork and BottleneckDsa. It sorts
+/// and deduplicates the batch's non-trivial (from, to) pairs, plans each
+/// distinct pair once from `chain_cache`'s skeletons of its
+/// endpoint-fragment pairs (ranges of pairs in parallel on `pool`), then
+/// deduplicates the planned hops by their selections in one bucket per
+/// fragment (one pool task per fragment; the tasks write disjoint plan
+/// slots) and emits the specs fragment by fragment, each fragment's in
+/// selection order. The specs and every plan's indices depend only on
+/// the pairs, never on the pool or its thread count. A batch of fewer than
+/// 512 chains, or a null `pool`, is planned on the calling thread.
+/// `chain_cache` must be non-null. Endpoints must be in range (callers
+/// validate); from == to pairs yield a null plan.
 ParallelPlanResult PlanBatchInParallel(
     const Fragmentation& frag,
     const std::vector<std::pair<NodeId, NodeId>>& endpoints,

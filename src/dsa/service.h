@@ -4,8 +4,8 @@
 // of single queries from concurrent clients. A QueryService coalesces those
 // arrivals into micro-batches and runs each micro-batch through a
 // pluggable backend, so streaming traffic inherits the cross-query
-// subquery deduplication, the per-batch plan memo, and the skeleton cache
-// of the batch executor without any client knowing about batching.
+// subquery deduplication, the one plan per distinct pair, and the skeleton
+// cache of the batch executor without any client knowing about batching.
 //
 // Admission is one bounded FIFO behind one mutex: submitters push at the
 // back and a flush worker pops up to `max_batch` queries from the front,
@@ -146,7 +146,7 @@ class DatabaseBackend : public ServiceBackend {
       const std::vector<Query>& queries) override;
 
   /// Batch-core accounting summed over all micro-batches this backend ran
-  /// (dedup savings, plan-memo skips, cross-batch plan-cache hits, ...).
+  /// (dedup savings, repeated-pair skips, skeleton-cache hits, ...).
   /// Returned by value: the sums keep moving under concurrent flushes.
   BatchStats cumulative_stats() const;
 

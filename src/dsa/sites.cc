@@ -68,11 +68,10 @@ std::vector<Weight> SiteNetwork::BatchShortestPathCosts(
   std::vector<Weight> answers(queries.size(), kInfinity);
   const size_t num_nodes = frag_->graph().NumNodes();
 
-  // Plan every query in parallel on the coordinator's planner pool,
-  // through the exact machinery of the in-process batch executor
-  // (PlanBatchInParallel: sharded plan memo + sharded spec table +
-  // skeleton cache) — one message per distinct (fragment, selection) no
-  // matter how many queries or chains need it.
+  // Plan every query on the coordinator's planner pool through the
+  // planner of the in-process batch executor (PlanBatchInParallel) — one
+  // message per distinct (fragment, selection) no matter how many queries
+  // or chains need it.
   for (const auto& [from, to] : queries) {
     TCF_CHECK(from < num_nodes);
     TCF_CHECK(to < num_nodes);

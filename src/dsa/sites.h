@@ -43,10 +43,10 @@ struct SiteTraffic {
 /// Queries may be issued from any number of threads: the coordinator side
 /// is serialized internally by a mutex (one query or batch protocol round
 /// in flight at a time — the single coordinator of the paper's deployment).
-/// Coordinator-side *planning* runs in parallel on an internal planner
-/// pool through the same sharded machinery as the in-process batch
-/// executor (sharded plan memo + sharded spec table + skeleton cache), so
-/// large batches do not serialize on plan construction.
+/// Coordinator-side *planning* runs on an internal planner pool through
+/// the same planner as the in-process batch executor (one plan per
+/// distinct pair, per-fragment subquery dedup, skeleton cache), so large
+/// batches do not serialize on plan construction.
 class SiteNetwork {
  public:
   /// Spawns one thread per fragment. `frag` must outlive the network; the

@@ -1,11 +1,29 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
-
-#include "util/status.h"
+#include <exception>
 
 namespace tcf {
+
+namespace {
+
+// Waits for every task, then rethrows the first exception (in task
+// order) that any of them threw. Returning at the first failure would
+// leave the other tasks running `fn` against the caller's frame after it
+// is gone.
+void WaitAll(std::vector<std::future<void>>& futures) {
+  std::exception_ptr first;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (first == nullptr) first = std::current_exception();
+    }
+  }
+  if (first != nullptr) std::rethrow_exception(first);
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) {
@@ -54,7 +72,7 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   for (size_t i = 0; i < n; ++i) {
     futures.push_back(Submit([&fn, i]() { fn(i); }));
   }
-  for (auto& f : futures) f.get();
+  WaitAll(futures);
 }
 
 void ThreadPool::ParallelForRanges(
@@ -71,7 +89,7 @@ void ThreadPool::ParallelForRanges(
     const size_t end = std::min(n, begin + chunk);
     futures.push_back(Submit([&fn, begin, end]() { fn(begin, end); }));
   }
-  for (auto& f : futures) f.get();
+  WaitAll(futures);
 }
 
 size_t ThreadPool::RangeSize(size_t n) const {

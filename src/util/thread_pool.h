@@ -48,14 +48,15 @@ class ThreadPool {
   /// Run fn(i) for i in [0, n) across the pool and wait for completion.
   /// One task per index — right when each call does real work (a site
   /// subquery, a query assembly). With n == 1 the one call runs on the
-  /// calling thread.
+  /// calling thread. If calls throw, it still waits for every task, then
+  /// rethrows the exception of the lowest-numbered failed task.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   /// Run fn(begin, end) over a partition of [0, n) into contiguous ranges
   /// (a few per worker) and wait for completion. Amortizes the per-task
   /// queue overhead when the loop body is cheap — the batch executor plans
   /// tens of thousands of queries this way. With n == 1 the one range runs
-  /// on the calling thread.
+  /// on the calling thread. Exceptions as in ParallelFor.
   void ParallelForRanges(size_t n,
                          const std::function<void(size_t, size_t)>& fn);
 

@@ -4,8 +4,8 @@
 // parallel-planned BatchExecutor must be element-wise identical to a
 // sequential single-query loop, agree with the warshall.h dense oracle on
 // connectivity, and report scheduling-independent dedup statistics (same
-// counts at every thread count — parallel planning may only change the
-// spec numbering, never what is planned or shared).
+// counts at every thread count: planning does not depend on the thread
+// count at all, and executor_test pins the spec numbering as well).
 #include <gtest/gtest.h>
 
 #include <optional>

@@ -1,8 +1,9 @@
 // Unit tests for the executor layer: RunSites (parallel and sequential;
 // the Dijkstra engine's fragment-grouped tasks against one spec at a
 // time, their shared stream and searches, and a corrupt fragment's
-// reach), AssembleChain, the chain assemblers against AssembleChain's
-// fold, and the ExecutionReport accounting.
+// reach), the planner's thread-count independence, AssembleChain, the
+// chain assemblers against AssembleChain's fold, and the ExecutionReport
+// accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 
 #include "dsa/batch.h"
 #include "dsa/executor.h"
+#include "dsa/workload.h"
 #include "dsa_sweep.h"
 #include "fragment/node_partition.h"
 #include "fragment/random_partition.h"
@@ -459,6 +461,79 @@ TEST_F(PagedFileTest, CorruptFragmentFailsExactlyTheQueriesThatUseIt) {
   }
   EXPECT_GT(failed, 0u);
   EXPECT_GT(answered, 0u);
+}
+
+TEST(PlanBatchInParallel, PlansTheSameSpecsAtEveryThreadCount) {
+  // One mixed batch (uniform and hot pairs, self queries among them)
+  // planned without a pool and on pools of 1, 2 and 8 threads: the flat
+  // specs come out grouped by fragment and in one order, and every plan
+  // indexes them alike, so phase 1 never depends on scheduling.
+  TransportationGraphOptions opts;
+  opts.num_clusters = 4;
+  opts.nodes_per_cluster = 12;
+  opts.target_edges_per_cluster = 36.0;
+  Rng rng(67);
+  const Graph g = GenerateTransportationGraph(opts, &rng).graph;
+  Rng partition_rng(5);
+  const Fragmentation frag = RandomFragmentation(g, 4, &partition_rng);
+  ASSERT_GT(frag.FragmentationGraphCycles(), 0u);
+
+  std::vector<std::pair<NodeId, NodeId>> endpoints;
+  Rng workload_rng(3);
+  for (WorkloadMix mix : {WorkloadMix::kUniform, WorkloadMix::kHotPair}) {
+    WorkloadSpec spec;
+    spec.mix = mix;
+    spec.num_queries = 128;
+    for (const Query& q : GenerateWorkload(frag, spec, &workload_rng)) {
+      endpoints.emplace_back(q.from, q.to);
+    }
+  }
+  for (size_t i = 0; i < endpoints.size(); i += 37) {
+    endpoints[i].second = endpoints[i].first;
+  }
+
+  auto plan = [&](ThreadPool* pool) {
+    ChainPlanCache cache;
+    return PlanBatchInParallel(frag, endpoints, kDefaultMaxChains, &cache,
+                               pool);
+  };
+  const ParallelPlanResult reference = plan(nullptr);
+  const std::vector<LocalQuerySpec>& specs = reference.flat.specs;
+  EXPECT_TRUE(std::is_sorted(
+      specs.begin(), specs.end(),
+      [](const LocalQuerySpec& a, const LocalQuerySpec& b) {
+        return a.fragment < b.fragment;
+      }));
+  EXPECT_GT(reference.memo_hits, 0u);
+  size_t trivial = 0;
+  for (const QueryPlan* p : reference.plans) trivial += p == nullptr;
+  EXPECT_GT(trivial, 0u);
+  // Enough chains that the planner fans out to the pool (a batch of fewer
+  // than 512 is planned on the calling thread).
+  size_t chains = 0;
+  for (const QueryPlan& p : reference.distinct) chains += p.chains.size();
+  EXPECT_GE(chains, 512u);
+
+  for (size_t threads : {1, 2, 8}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    ThreadPool pool(threads);
+    const ParallelPlanResult got = plan(&pool);
+    ASSERT_EQ(got.flat.specs.size(), specs.size());
+    for (size_t s = 0; s < specs.size(); ++s) {
+      EXPECT_EQ(got.flat.specs[s].fragment, specs[s].fragment) << s;
+      EXPECT_EQ(got.flat.specs[s].sources, specs[s].sources) << s;
+      EXPECT_EQ(got.flat.specs[s].targets, specs[s].targets) << s;
+    }
+    ASSERT_EQ(got.plans.size(), reference.plans.size());
+    for (size_t i = 0; i < endpoints.size(); ++i) {
+      ASSERT_EQ(got.plans[i] == nullptr, reference.plans[i] == nullptr) << i;
+      if (got.plans[i] == nullptr) continue;
+      EXPECT_EQ(got.plans[i]->chains, reference.plans[i]->chains) << i;
+      EXPECT_EQ(got.plans[i]->chain_specs, reference.plans[i]->chain_specs)
+          << i;
+    }
+    EXPECT_EQ(got.memo_hits, reference.memo_hits);
+  }
 }
 
 TEST(AssembleChain, FoldsMinPlusJoins) {

@@ -4,8 +4,11 @@
 // fragmenters, engines, and seeds.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <string>
 
+#include "dsa/batch.h"
 #include "dsa/query_api.h"
 #include "fragment/bond_energy.h"
 #include "fragment/center_based.h"
@@ -14,6 +17,7 @@
 #include "graph/algorithms.h"
 #include "graph/builder.h"
 #include "graph/generator.h"
+#include "storage/database_io.h"
 
 namespace tcf {
 namespace {
@@ -136,6 +140,65 @@ TEST(ShortestRoute, AgreesWithShortestPathCost) {
       EXPECT_NEAR(r.answer.cost, cost, 1e-9);
     }
   }
+}
+
+TEST(ShortestRoute, MissingWitnessFailsTheQueryInsteadOfThrowing) {
+  // A file saved without witness routes opens in both modes: the open
+  // checks every route it reads, not that each shortcut has one. A route
+  // through a shortcut then cannot be expanded; that query must fail with
+  // kInvalidArgument, alone, and nothing may throw.
+  auto t = MakeTransport(3);
+  LinearOptions lopts;
+  lopts.num_fragments = 4;
+  Fragmentation frag = LinearFragmentation(t.graph, lopts).fragmentation;
+  EpochCarryover carry;
+  carry.complementary = PrecomputeComplementary(frag);
+  carry.complementary.witness.clear();
+  const DsaDatabase stripped(&frag, DsaOptions{}, std::move(carry));
+  const std::string path = ::testing::TempDir() + "route_test_no_witness.tcfdb";
+  ASSERT_TRUE(SaveDatabase(stripped, path).ok());
+
+  std::vector<Query> batch;
+  for (NodeId s = 0; s < t.graph.NumNodes(); s += 3) {
+    for (NodeId u = 1; u < t.graph.NumNodes(); u += 4) {
+      batch.push_back(Query{s, u, QueryKind::kRoute});
+    }
+  }
+  for (OpenMode mode : {OpenMode::kResident, OpenMode::kPaged}) {
+    SCOPED_TRACE(mode == OpenMode::kPaged ? "paged" : "resident");
+    OpenOptions options;
+    options.mode = mode;
+    Result<StoredDatabase> opened = OpenDatabase(path, options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    const DsaDatabase& db = *opened.value().db;
+
+    size_t routed = 0;
+    size_t failed = 0;
+    auto check = [&](const Query& q, const RouteAnswer& got) {
+      if (!got.answer.status.ok()) {
+        EXPECT_EQ(got.answer.status.code(), StatusCode::kInvalidArgument);
+        EXPECT_TRUE(got.route.empty());
+        ++failed;
+      } else if (got.answer.connected) {
+        if (q.from != q.to) {
+          CheckRoute(t.graph, got.route, q.from, q.to, got.answer.cost);
+        }
+        ++routed;
+      }
+    };
+    for (const Query& q : batch) {
+      RouteAnswer got;
+      EXPECT_NO_THROW(got = db.ShortestRoute(q.from, q.to));
+      check(q, got);
+    }
+    BatchResult result;
+    EXPECT_NO_THROW(result = BatchExecutor(&db).Execute(batch));
+    ASSERT_EQ(result.answers.size(), batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) check(batch[i], result.answers[i]);
+    EXPECT_GT(failed, 0u);
+    EXPECT_GT(routed, 0u);
+  }
+  std::remove(path.c_str());
 }
 
 // --- property sweep: routes are real optimal paths under every fragmenter.

@@ -4,14 +4,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <thread>
 
 #include "util/bit_matrix.h"
 #include "util/lru_cache.h"
 #include "util/rng.h"
-#include "util/sharded_table.h"
 #include "util/stats.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -431,6 +432,30 @@ TEST(ThreadPool, ParallelForRangesSmallerThanWorkerCount) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+TEST(ThreadPool, FailedTaskRethrowsOnlyAfterEveryTaskFinished) {
+  // Task 0 throws at once while the others are still sleeping; the loops
+  // must not return (and free the frame `fn` captures) before they finish.
+  ThreadPool pool(8);
+  std::atomic<int> finished{0};
+  auto task = [&](size_t i) {
+    if (i == 0) throw std::runtime_error("task 0 failed");
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    finished.fetch_add(1);
+  };
+  EXPECT_THROW(pool.ParallelFor(8, task), std::runtime_error);
+  EXPECT_EQ(finished.load(), 7);
+
+  finished = 0;
+  EXPECT_THROW(pool.ParallelForRanges(8,
+                                      [&](size_t begin, size_t end) {
+                                        for (size_t i = begin; i < end; ++i) {
+                                          task(i);
+                                        }
+                                      }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), 7);
+}
+
 TEST(WallTimer, MeasuresElapsedTime) {
   WallTimer t;
   volatile double sink = 0;
@@ -526,100 +551,6 @@ TEST(LruCache, ConcurrentGetOrComputeIsConsistent) {
   });
   EXPECT_EQ(wrong.load(), 0);
   EXPECT_EQ(cache.size(), 8u);
-}
-
-// ----------------------------------------------------------- ShardedTable
-
-TEST(ShardedTable, InternCreatesOnceAndReturnsStableEntry) {
-  ShardedTable<int, std::string> table(4);
-  auto first = table.Intern(7, [](const int& k) {
-    return std::string(static_cast<size_t>(k), 'x');
-  });
-  EXPECT_TRUE(first.inserted);
-  EXPECT_EQ(*first.value, "xxxxxxx");
-
-  auto second = table.Intern(7, [](const int&) -> std::string {
-    ADD_FAILURE() << "factory must not rerun for a resident key";
-    return "";
-  });
-  EXPECT_FALSE(second.inserted);
-  EXPECT_EQ(second.handle, first.handle);
-  EXPECT_EQ(second.value, first.value);  // same stored entry
-  EXPECT_EQ(table.size(), 1u);
-}
-
-TEST(ShardedTable, ValuePointersSurviveLaterInserts) {
-  ShardedTable<int, int> table(2);
-  std::vector<int*> pointers;
-  for (int k = 0; k < 100; ++k) {
-    pointers.push_back(table.Intern(k, [](const int& key) {
-      return key * 3;
-    }).value);
-  }
-  for (int k = 0; k < 100; ++k) EXPECT_EQ(*pointers[k], k * 3);
-  EXPECT_EQ(table.size(), 100u);
-}
-
-TEST(ShardedTable, FlattenMapsEveryHandleToItsValue) {
-  ShardedTable<int, int> table(8);
-  std::vector<uint64_t> handles(50);
-  for (int k = 0; k < 50; ++k) {
-    handles[k] = table.Intern(k, [](const int& key) { return key + 1000; })
-                     .handle;
-  }
-  auto flat = table.Flatten();
-  ASSERT_EQ(flat.values.size(), 50u);
-  for (int k = 0; k < 50; ++k) {
-    EXPECT_EQ(flat.values[flat.IndexOf(handles[k])], k + 1000);
-  }
-  EXPECT_EQ(table.size(), 0u);  // flatten leaves the table empty
-}
-
-TEST(ShardedTable, ForEachVisitsEveryEntry) {
-  ShardedTable<int, int> table(4);
-  for (int k = 0; k < 20; ++k) {
-    table.Intern(k, [](const int& key) { return key; });
-  }
-  int sum = 0;
-  table.ForEach([&](int& value) { sum += value; });
-  EXPECT_EQ(sum, 19 * 20 / 2);
-
-  // Const traversal sees the same entries without granting mutation.
-  const auto& const_table = table;
-  int const_sum = 0;
-  const_table.ForEach([&](const int& value) { const_sum += value; });
-  EXPECT_EQ(const_sum, sum);
-}
-
-TEST(ShardedTable, ConcurrentInternIsConsistent) {
-  ShardedTable<int, int> table(4);
-  ThreadPool pool(4);
-  std::atomic<int> wrong{0};
-  std::atomic<int> insertions{0};
-  pool.ParallelFor(256, [&](size_t i) {
-    const int key = static_cast<int>(i % 16);
-    auto result = table.Intern(key, [](const int& k) { return k * k; });
-    if (*result.value != key * key) ++wrong;
-    if (result.inserted) ++insertions;
-  });
-  EXPECT_EQ(wrong.load(), 0);
-  EXPECT_EQ(insertions.load(), 16);  // exactly once per key
-  EXPECT_EQ(table.size(), 16u);
-
-  auto flat = table.Flatten();
-  std::vector<int> values = flat.values;
-  std::sort(values.begin(), values.end());
-  for (int k = 0; k < 16; ++k) EXPECT_EQ(values[k], k * k);
-}
-
-TEST(ShardedTable, SingleShardDegenerateStillWorks) {
-  ShardedTable<int, int> table(1);
-  auto a = table.Intern(1, [](const int&) { return 10; });
-  auto b = table.Intern(2, [](const int&) { return 20; });
-  EXPECT_NE(a.handle, b.handle);
-  auto flat = table.Flatten();
-  EXPECT_EQ(flat.values[flat.IndexOf(a.handle)], 10);
-  EXPECT_EQ(flat.values[flat.IndexOf(b.handle)], 20);
 }
 
 }  // namespace
