@@ -62,8 +62,9 @@ BatchResult BatchExecutor::Execute(const std::vector<Query>& queries) const {
 
   // Assemble every query in parallel. Assembly only *reads* the shared
   // site results (the chain joins and the route dynamic program work on
-  // copies), so queries are independent again; each task fills its own
-  // answer slot and report.
+  // copies), so queries are independent again; each fills its own answer
+  // slot and report. A query assembles in microseconds, so tasks take
+  // contiguous ranges of queries, as planning does.
   WallTimer assemble_timer;
   std::vector<ExecutionReport> reports(queries.size());
   auto assemble_one = [&](size_t i) {
@@ -90,7 +91,9 @@ BatchResult BatchExecutor::Execute(const std::vector<Query>& queries) const {
     }
   };
   if (pool != nullptr) {
-    pool->ParallelFor(queries.size(), assemble_one);
+    pool->ParallelForRanges(queries.size(), [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) assemble_one(i);
+    });
   } else {
     for (size_t i = 0; i < queries.size(); ++i) assemble_one(i);
   }

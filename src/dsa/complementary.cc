@@ -96,15 +96,26 @@ Status TryRefreshIncremental(const Fragmentation& frag,
   }
 
   // Rule (c) and the clean-source carry-over below probe the old shortcut
-  // relations through BestCost. Lookups have no error channel, so warm
-  // the lazy indexes first — for a paged relation this is where the store
-  // is actually read, and where a disk fault surfaces as a Status instead
-  // of a crash (relation.h's pre-warm discipline).
-  for (FragmentId f = 0; f < num_frags; ++f) {
-    if (!border_set_changed[f]) {
-      TCF_RETURN_NOT_OK(old.shortcuts[f].WarmIndexes());
-    }
-  }
+  // relations. Each one probed is read once, on its first probe, into a
+  // map of min costs; for a paged relation this is where the store is
+  // read, and a disk fault surfaces as a Status, not a crash.
+  std::vector<std::unordered_map<uint64_t, Weight>> old_costs(num_frags);
+  std::vector<char> old_read(num_frags, 0);
+  auto read_old = [&](FragmentId f) -> Status {
+    if (old_read[f]) return Status::OK();
+    std::unordered_map<uint64_t, Weight>& costs = old_costs[f];
+    costs.reserve(old.shortcuts[f].size());
+    TCF_RETURN_NOT_OK(old.shortcuts[f].ForEach([&](const PathTuple& t) {
+      auto [it, inserted] = costs.emplace(PairKey(t.src, t.dst), t.cost);
+      if (!inserted && t.cost < it->second) it->second = t.cost;
+    }));
+    old_read[f] = 1;
+    return Status::OK();
+  };
+  auto old_cost = [&](FragmentId f, NodeId x, NodeId y) {
+    auto it = old_costs[f].find(PairKey(x, y));
+    return it == old_costs[f].end() ? kInfinity : it->second;
+  };
 
   // Rule (c): for each relaxed edge e = (u, v, w), exact new-graph
   // distances d(x, u) (backward search) and d(v, y) (forward search) let
@@ -117,14 +128,14 @@ Status TryRefreshIncremental(const Fragmentation& frag,
     info.searches += 2;
     for (FragmentId f = 0; f < num_frags; ++f) {
       if (border_set_changed[f]) continue;
+      TCF_RETURN_NOT_OK(read_old(f));
       const std::vector<NodeId>& borders = frag.BorderNodes(f);
-      const Relation& old_rel = old.shortcuts[f];
       for (NodeId x : borders) {
         if (dirty[x] || to_u.distance[x] == kInfinity) continue;
         for (NodeId y : borders) {
           if (y == x || from_v.distance[y] == kInfinity) continue;
           if (to_u.distance[x] + e.weight + from_v.distance[y] <
-              old_rel.BestCost(x, y)) {
+              old_cost(f, x, y)) {
             dirty[x] = 1;
             break;
           }
@@ -183,9 +194,10 @@ Status TryRefreshIncremental(const Fragmentation& frag,
       } else {
         // A clean source inside a dirty fragment (possible only when the
         // border set is unchanged): its tuples are provably unchanged.
+        TCF_RETURN_NOT_OK(read_old(f));
         for (NodeId y : borders) {
           if (x == y) continue;
-          const Weight c = old.shortcuts[f].BestCost(x, y);
+          const Weight c = old_cost(f, x, y);
           if (c == kInfinity) continue;
           rel.Add(x, y, c);
           auto it = old.witness.find(PairKey(x, y));

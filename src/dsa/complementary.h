@@ -16,6 +16,7 @@
 // against a whole-graph Dijkstra oracle).
 #pragma once
 
+#include <unordered_map>
 #include <vector>
 
 #include "fragment/fragmentation.h"

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "graph/builder.h"
+#include "util/logging.h"
 
 namespace tcf {
 
@@ -269,6 +270,13 @@ EpochStats MaintainedDatabase::ApplyEpoch(
       stats.reused_border_nodes = refresh.reused_border_nodes;
       stats.dirty_fragments = refresh.dirty_fragments;
       stats.reused_fragments = refresh.reused_fragments;
+      stats.complementary_fallback = refresh.fallback_cause;
+      if (!refresh.fallback_cause.ok()) {
+        TCF_LOG(Warning) << "epoch " << epoch_id
+                         << ": complementary refresh fell back to a full "
+                            "recompute: "
+                         << refresh.fallback_cause.ToString();
+      }
       carry.complementary = std::move(refresh.info);
     }
   }

@@ -124,6 +124,10 @@ struct EpochStats {
   size_t reused_border_nodes = 0;
   size_t dirty_fragments = 0;
   size_t reused_fragments = 0;
+  // OK, or the storage error that made the refresh recompute every
+  // shortcut relation because the old epoch's paged ones could not be
+  // read. The refreshed info is exact either way.
+  Status complementary_fallback = Status::OK();
 
   // Plan-cache succession accounting (ChainPlanCache::NextEpoch).
   size_t skeletons_kept = 0;

@@ -4,27 +4,24 @@
 
 namespace tcf {
 
-DsaDatabase::DsaDatabase(const Fragmentation* frag, DsaOptions options)
-    : frag_(frag), options_(options) {
+namespace {
+
+// A fresh database starts as an epoch-0 successor of nothing: freshly
+// precomputed complementary info, and no pool or plan cache to adopt.
+EpochCarryover FreshCarryover(const Fragmentation* frag,
+                              const DsaOptions& options) {
   TCF_CHECK(frag != nullptr);
-  if (options_.use_complementary) {
-    complementary_ = PrecomputeComplementary(*frag_);
-  } else {
-    complementary_.shortcuts.resize(frag_->NumFragments());
+  EpochCarryover carry;
+  if (options.use_complementary) {
+    carry.complementary = PrecomputeComplementary(*frag);
   }
-  // The shortcut relations are shared read-only by every concurrent query.
-  // Index builds are thread-safe either way; warming resident relations
-  // here just front-loads the cost. Paged relations are left cold — eager
-  // indexes would decode every fragment's extent, defeating the point of
-  // opening paged (queries only ever scan shortcuts, never probe them).
-  for (const Relation& shortcuts : complementary_.shortcuts) {
-    if (!shortcuts.is_paged()) shortcuts.WarmIndexes();
-  }
-  const size_t threads = options_.num_threads > 0 ? options_.num_threads
-                                                  : frag_->NumFragments();
-  pool_ = std::make_shared<ThreadPool>(threads);
-  plan_cache_ = std::make_unique<ChainPlanCache>();
+  return carry;
 }
+
+}  // namespace
+
+DsaDatabase::DsaDatabase(const Fragmentation* frag, DsaOptions options)
+    : DsaDatabase(frag, options, FreshCarryover(frag, options)) {}
 
 DsaDatabase::DsaDatabase(const Fragmentation* frag, DsaOptions options,
                          EpochCarryover carry)
@@ -36,12 +33,6 @@ DsaDatabase::DsaDatabase(const Fragmentation* frag, DsaOptions options,
                   "epoch carryover does not match the fragmentation");
   } else {
     complementary_.shortcuts.resize(frag_->NumFragments());
-  }
-  // Adopted relations may contain freshly rebuilt (index-cold) entries;
-  // warm the resident ones while still single-threaded, as the primary
-  // ctor does. Paged entries stay lazy (see above).
-  for (const Relation& shortcuts : complementary_.shortcuts) {
-    if (!shortcuts.is_paged()) shortcuts.WarmIndexes();
   }
   if (carry.pool != nullptr) {
     pool_ = std::move(carry.pool);

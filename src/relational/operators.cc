@@ -106,11 +106,35 @@ Relation UnionMax(const Relation& a, const Relation& b) {
   return out;
 }
 
+namespace {
+
+// `best` read once into its cost per (src, dst), keeping the cost that
+// `better` prefers when a pair occurs twice. A lookup has no error channel,
+// so a paged `best` that cannot be read is fatal, as Relation::BestCost is.
+template <typename Better>
+std::unordered_map<uint64_t, Weight> CostByPair(const Relation& best,
+                                                Better better) {
+  std::unordered_map<uint64_t, Weight> costs;
+  costs.reserve(best.size());
+  const Status scan = best.ForEach([&](const PathTuple& t) {
+    auto [it, inserted] = costs.emplace(PairKey(t.src, t.dst), t.cost);
+    if (!inserted && better(t.cost, it->second)) it->second = t.cost;
+  });
+  TCF_CHECK_MSG(scan.ok(), "ImprovingTuples: cannot read paged best: " +
+                               scan.ToString());
+  return costs;
+}
+
+}  // namespace
+
 Relation ImprovingTuples(const Relation& candidate, const Relation& best,
                          bool min_plus) {
+  const std::unordered_map<uint64_t, Weight> costs =
+      CostByPair(best, std::less<Weight>());
   Relation out;
   candidate.ForEach([&](const PathTuple& t) {
-    const Weight current = best.BestCost(t.src, t.dst);
+    auto it = costs.find(PairKey(t.src, t.dst));
+    const Weight current = it == costs.end() ? kInfinity : it->second;
     const bool improves =
         min_plus ? (t.cost < current) : (current == kInfinity);
     if (improves) out.Add(t);
@@ -121,9 +145,13 @@ Relation ImprovingTuples(const Relation& candidate, const Relation& best,
 }
 
 Relation ImprovingTuplesMax(const Relation& candidate, const Relation& best) {
+  const std::unordered_map<uint64_t, Weight> costs =
+      CostByPair(best, std::greater<Weight>());
   Relation out;
   candidate.ForEach([&](const PathTuple& t) {
-    if (t.cost > best.MaxCost(t.src, t.dst)) out.Add(t);
+    auto it = costs.find(PairKey(t.src, t.dst));
+    const Weight current = it == costs.end() ? 0.0 : it->second;
+    if (t.cost > current) out.Add(t);
   });
   out.AggregateMax();
   return out;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <unordered_map>
 
 namespace tcf {
 
@@ -38,13 +39,11 @@ Status Relation::Materialize() {
   TCF_RETURN_NOT_OK(cursor->status());
   tuples_ = std::move(resident);
   store_.reset();
-  InvalidateIndexes();
   return Status::OK();
 }
 
 Status Relation::Append(const Relation& other) {
   TCF_RETURN_NOT_OK(Materialize());
-  InvalidateIndexes();
   tuples_.reserve(tuples_.size() + other.size());
   // Streams `other` through its cursor, so appending a paged relation
   // copies tuples out of pinned pages without materializing `other`.
@@ -66,7 +65,6 @@ void Relation::AggregateMin() {
                                 static_cast<NodeId>(key & 0xffffffffu),
                                 cost});
   }
-  InvalidateIndexes();
 }
 
 void Relation::AggregateMax() {
@@ -84,12 +82,10 @@ void Relation::AggregateMax() {
                                 static_cast<NodeId>(key & 0xffffffffu),
                                 cost});
   }
-  InvalidateIndexes();
 }
 
 void Relation::SortCanonical() {
   MaterializeOrDie();
-  InvalidateIndexes();
   std::sort(tuples_.begin(), tuples_.end(),
             [](const PathTuple& a, const PathTuple& b) {
               if (a.src != b.src) return a.src < b.src;
@@ -98,62 +94,28 @@ void Relation::SortCanonical() {
             });
 }
 
-Status Relation::EnsureIndex() const {
-  if (lazy_.min_built.load(std::memory_order_acquire)) return Status::OK();
-  std::lock_guard<std::mutex> lock(lazy_.build_mutex);
-  if (lazy_.min_built.load(std::memory_order_relaxed)) return Status::OK();
-  lazy_.min_index.clear();
-  lazy_.min_index.reserve(size());
-  const Status scan = ForEach([this](const PathTuple& t) {
-    auto [it, inserted] = lazy_.min_index.emplace(PairKey(t.src, t.dst),
-                                                  t.cost);
-    if (!inserted && t.cost < it->second) it->second = t.cost;
-  });
-  if (!scan.ok()) {
-    // A partial index would answer lookups wrong; stay cold so a later
-    // warm retries after the fault clears.
-    lazy_.min_index.clear();
-    return scan;
-  }
-  lazy_.min_built.store(true, std::memory_order_release);
-  return Status::OK();
-}
-
 Weight Relation::BestCost(NodeId src, NodeId dst) const {
-  const Status built = EnsureIndex();
-  TCF_CHECK_MSG(built.ok(),
-                "Relation::BestCost: index build failed (WarmIndexes first "
-                "and handle its Status): " + built.ToString());
-  auto it = lazy_.min_index.find(PairKey(src, dst));
-  return it == lazy_.min_index.end() ? kInfinity : it->second;
-}
-
-Status Relation::EnsureMaxIndex() const {
-  if (lazy_.max_built.load(std::memory_order_acquire)) return Status::OK();
-  std::lock_guard<std::mutex> lock(lazy_.build_mutex);
-  if (lazy_.max_built.load(std::memory_order_relaxed)) return Status::OK();
-  lazy_.max_index.clear();
-  lazy_.max_index.reserve(size());
-  const Status scan = ForEach([this](const PathTuple& t) {
-    auto [it, inserted] = lazy_.max_index.emplace(PairKey(t.src, t.dst),
-                                                  t.cost);
-    if (!inserted && t.cost > it->second) it->second = t.cost;
+  Weight best = kInfinity;
+  const Status scan = ForEach([&](const PathTuple& t) {
+    if (t.src == src && t.dst == dst && t.cost < best) best = t.cost;
   });
-  if (!scan.ok()) {
-    lazy_.max_index.clear();
-    return scan;
-  }
-  lazy_.max_built.store(true, std::memory_order_release);
-  return Status::OK();
+  TCF_CHECK_MSG(scan.ok(), "Relation::BestCost: cannot read paged store: " +
+                               scan.ToString());
+  return best;
 }
 
 Weight Relation::MaxCost(NodeId src, NodeId dst) const {
-  const Status built = EnsureMaxIndex();
-  TCF_CHECK_MSG(built.ok(),
-                "Relation::MaxCost: index build failed (WarmIndexes first "
-                "and handle its Status): " + built.ToString());
-  auto it = lazy_.max_index.find(PairKey(src, dst));
-  return it == lazy_.max_index.end() ? 0.0 : it->second;
+  bool found = false;
+  Weight best = 0.0;
+  const Status scan = ForEach([&](const PathTuple& t) {
+    if (t.src == src && t.dst == dst && (!found || t.cost > best)) {
+      found = true;
+      best = t.cost;
+    }
+  });
+  TCF_CHECK_MSG(scan.ok(), "Relation::MaxCost: cannot read paged store: " +
+                               scan.ToString());
+  return best;
 }
 
 std::string Relation::ToString(size_t max_rows) const {

@@ -14,13 +14,10 @@
 // copy becomes memory-resident (copy-on-write).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -31,7 +28,9 @@
 namespace tcf {
 
 /// A bag of path tuples with helpers for the aggregation the transitive
-/// closure engine needs (keep the cheapest tuple per (src, dst) pair).
+/// closure engine needs (keep the cheapest tuple per (src, dst) pair). A
+/// plain value: it holds no cache and no lock, so a const Relation may be
+/// read from any number of threads at once while nothing mutates it.
 class Relation {
  public:
   Relation() = default;
@@ -42,33 +41,6 @@ class Relation {
   /// the first mutation materializes the tuples into resident memory.
   explicit Relation(std::shared_ptr<const TupleStore> store)
       : store_(std::move(store)) {}
-
-  // Copies share the (immutable) store but never the lazy index cell: the
-  // cell embeds synchronization state that must belong to exactly one
-  // relation. Moved-from relations are empty and index-cold.
-  Relation(const Relation& other)
-      : tuples_(other.tuples_), store_(other.store_) {}
-  Relation& operator=(const Relation& other) {
-    if (this != &other) {
-      tuples_ = other.tuples_;
-      store_ = other.store_;
-      InvalidateIndexes();
-    }
-    return *this;
-  }
-  Relation(Relation&& other) noexcept
-      : tuples_(std::move(other.tuples_)), store_(std::move(other.store_)) {
-    other.InvalidateIndexes();
-  }
-  Relation& operator=(Relation&& other) noexcept {
-    if (this != &other) {
-      tuples_ = std::move(other.tuples_);
-      store_ = std::move(other.store_);
-      InvalidateIndexes();
-      other.InvalidateIndexes();
-    }
-    return *this;
-  }
 
   /// Base relation of a whole graph: one tuple per edge.
   static Relation FromGraph(const Graph& g);
@@ -93,7 +65,6 @@ class Relation {
   }
   std::vector<PathTuple>& mutable_tuples() {
     MaterializeOrDie();
-    InvalidateIndexes();
     return tuples_;
   }
 
@@ -153,7 +124,6 @@ class Relation {
 
   void Add(PathTuple t) {
     MaterializeOrDie();
-    InvalidateIndexes();
     tuples_.push_back(t);
   }
   void Add(NodeId src, NodeId dst, Weight cost) {
@@ -165,7 +135,6 @@ class Relation {
   /// complete.
   Status Append(const Relation& other);
   void Clear() {
-    InvalidateIndexes();
     tuples_.clear();
     store_.reset();
   }
@@ -179,29 +148,16 @@ class Relation {
   /// Deterministic order (src, dst, cost) — used by tests and printers.
   void SortCanonical();
 
-  /// Lookup the best (minimum) cost for (src, dst); kInfinity if absent.
-  /// The lookup index is built lazily on first use under a double-checked
-  /// lock, so a *const* Relation is safe to query from any number of
-  /// threads with no warm-up ritual (the usual contract: reads may not
-  /// run concurrently with mutations). Any mutation invalidates the
-  /// indexes; the next lookup rebuilds.
-  ///
-  /// Paged relations: the lazy build scans the store, and a lookup has no
-  /// error channel — a build that fails on a storage error is fatal
-  /// (TCF_CHECK). Callers probing a paged relation must WarmIndexes()
-  /// first and handle its Status (RefreshComplementary does; queries only
-  /// ever probe resident relations, which cannot fail).
+  /// The best (minimum) cost for (src, dst); kInfinity if absent. One
+  /// scan of the relation per call: for tests and single probes. A caller
+  /// that probes many pairs reads the relation once into a map of its own
+  /// (ImprovingTuples, RefreshComplementary). A lookup has no error
+  /// channel, so a paged relation whose pages cannot be read is fatal
+  /// here (TCF_CHECK); code that must survive storage faults scans with
+  /// ForEach and handles its Status.
   Weight BestCost(NodeId src, NodeId dst) const;
-  /// Builds both lookup indexes now and reports whether the backing scan
-  /// succeeded (always OK for resident relations). Purely a warm hint for
-  /// resident relations; for paged relations it is the error channel a
-  /// probe needs — warm, check, then look up. A no-op once the indexes
-  /// exist; a failed build leaves them cold, so a later call retries.
-  Status WarmIndexes() const {
-    TCF_RETURN_NOT_OK(EnsureIndex());
-    return EnsureMaxIndex();
-  }
-  /// Lookup the best (maximum) capacity for (src, dst); 0 if absent.
+  /// The best (maximum) capacity for (src, dst); 0 if absent. One scan
+  /// per call, failing as BestCost does.
   Weight MaxCost(NodeId src, NodeId dst) const;
   bool Contains(NodeId src, NodeId dst) const {
     return BestCost(src, dst) != kInfinity;
@@ -210,46 +166,19 @@ class Relation {
   std::string ToString(size_t max_rows = 32) const;
 
  private:
-  // Lazy lookup indexes, built on first BestCost/MaxCost via double-checked
-  // locking (the resettable equivalent of std::call_once: mutation must be
-  // able to re-arm the build, which a once_flag cannot).
-  struct LazyIndexes {
-    std::mutex build_mutex;
-    std::atomic<bool> min_built{false};
-    std::atomic<bool> max_built{false};
-    std::unordered_map<uint64_t, Weight> min_index;
-    std::unordered_map<uint64_t, Weight> max_index;
-  };
-
-  // Requires exclusive access (mutation contract).
-  void InvalidateIndexes() {
-    if (lazy_.min_built.load(std::memory_order_relaxed)) {
-      lazy_.min_built.store(false, std::memory_order_relaxed);
-      lazy_.min_index.clear();
-    }
-    if (lazy_.max_built.load(std::memory_order_relaxed)) {
-      lazy_.max_built.store(false, std::memory_order_relaxed);
-      lazy_.max_index.clear();
-    }
-  }
   // Mutation prelude: a paged relation must be resident before its tuple
   // vector can change. Mutators have no error channel, so a store that
   // cannot be read here is fatal — mutation of paged relations happens on
-  // maintenance paths that warm/materialize with Status-checked calls
-  // first; the query path never mutates.
+  // maintenance paths that read or materialize them with Status-checked
+  // calls first; the query path never mutates.
   void MaterializeOrDie() {
     const Status st = Materialize();
     TCF_CHECK_MSG(st.ok(), "Relation: cannot materialize paged store: " +
                                st.ToString());
   }
-  // Build the lazy indexes if cold; returns the backing scan's status and
-  // leaves the index cold (and empty) on failure so a later call retries.
-  Status EnsureIndex() const;
-  Status EnsureMaxIndex() const;
 
   std::vector<PathTuple> tuples_;
   std::shared_ptr<const TupleStore> store_;
-  mutable LazyIndexes lazy_;
 };
 
 }  // namespace tcf

@@ -46,10 +46,11 @@ class ThreadPool {
   }
 
   /// Run fn(i) for i in [0, n) across the pool and wait for completion.
-  /// One task per index — right when each call does real work (a site
-  /// subquery, a query assembly). With n == 1 the one call runs on the
-  /// calling thread. If calls throw, it still waits for every task, then
-  /// rethrows the exception of the lowest-numbered failed task.
+  /// One task per index — right when each call does real work (a
+  /// fragment-grouped site task, a fragment's subquery dedup). With
+  /// n == 1 the one call runs on the calling thread. If calls throw, it
+  /// still waits for every task, then rethrows the exception of the
+  /// lowest-numbered failed task.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   /// Run fn(begin, end) over a partition of [0, n) into contiguous ranges

@@ -99,10 +99,19 @@ TEST(BottleneckClosure, ImprovingTuplesMaxKeepsOnlyBetter) {
   Relation cand, best;
   cand.Add(0, 1, 5.0);
   cand.Add(0, 2, 1.0);
+  cand.Add(1, 2, 6.0);  // between 4 and 8: narrower than best's 8
+  cand.Add(1, 3, 6.0);  // likewise
   best.Add(0, 1, 6.0);
+  // Pairs held twice: the better capacity first, then last.
+  best.Add(1, 2, 8.0);
+  best.Add(1, 2, 4.0);
+  best.Add(1, 3, 4.0);
+  best.Add(1, 3, 8.0);
   Relation imp = ImprovingTuplesMax(cand, best);
   EXPECT_EQ(imp.size(), 1u);
   EXPECT_DOUBLE_EQ(imp.MaxCost(0, 2), 1.0);
+  EXPECT_EQ(imp.MaxCost(1, 2), 0.0);
+  EXPECT_EQ(imp.MaxCost(1, 3), 0.0);
 }
 
 class BottleneckEngineSweep : public ::testing::TestWithParam<uint64_t> {};

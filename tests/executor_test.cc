@@ -10,7 +10,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <string>
 
 #include "dsa/batch.h"
@@ -21,6 +20,7 @@
 #include "fragment/random_partition.h"
 #include "graph/builder.h"
 #include "graph/generator.h"
+#include "shortcut_extents.h"
 #include "storage/database_io.h"
 
 namespace tcf {
@@ -363,14 +363,6 @@ TEST_F(PagedFileTest, OneOriginsSpecsShareOneStreamAndOneSearch) {
   EXPECT_EQ(settled, most_settled);
 }
 
-uint64_t ReadU64(const std::vector<char>& bytes, size_t at) {
-  uint64_t value = 0;
-  for (size_t i = 0; i < 8; ++i) {
-    value |= uint64_t{static_cast<uint8_t>(bytes[at + i])} << (8 * i);
-  }
-  return value;
-}
-
 TEST_F(PagedFileTest, CorruptFragmentFailsExactlyTheQueriesThatUseIt) {
   // A line of clusters 0 - 1 - 2 - 3: a query between the last two
   // clusters never needs the first fragment, and the reverse.
@@ -381,47 +373,19 @@ TEST_F(PagedFileTest, CorruptFragmentFailsExactlyTheQueriesThatUseIt) {
   const StoredDatabase paged = SaveAndOpenPaged(fresh, 4);
   ASSERT_NE(paged.db, nullptr);
 
-  // Fragment extents from the file: the superblock's directory extent
-  // (payload offset 112), then one {first_page, byte_len, tuple_count}
-  // entry per fragment after the directory's count (docs/STORAGE.md).
-  std::vector<char> file;
-  {
-    std::ifstream in(path_, std::ios::binary);
-    file.assign(std::istreambuf_iterator<char>(in),
-                std::istreambuf_iterator<char>());
-  }
-  const size_t payload = kPageHeaderSize;
-  const uint64_t directory = ReadU64(file, payload + 112) * kMinPageSize;
-  ASSERT_EQ(ReadU64(file, directory + payload), frag.NumFragments());
-  FragmentId corrupt = 0;
-  uint64_t first_page = 0;
-  uint64_t num_pages = 0;
-  for (FragmentId f = 0; f < frag.NumFragments(); ++f) {
-    const size_t entry = directory + payload + 8 + 24 * f;
-    const uint64_t pages =
-        (ReadU64(file, entry + 8) + PagePayloadCapacity(kMinPageSize) - 1) /
-        PagePayloadCapacity(kMinPageSize);
-    if (pages > num_pages) {
-      corrupt = f;
-      first_page = ReadU64(file, entry);
-      num_pages = pages;
-    }
-  }
+  // Fragment extents from the file.
+  const std::vector<char> file = shortcut_extents::ReadFileBytes(path_);
+  const std::vector<shortcut_extents::Extent> extents =
+      shortcut_extents::ReadExtents(file);
+  ASSERT_EQ(extents.size(), frag.NumFragments());
+  const shortcut_extents::Extent largest = shortcut_extents::Largest(extents);
+  const FragmentId corrupt = largest.fragment;
   // More pages than the pool has frames: a stream of the fragment cannot
   // be served from frames filled before the corruption.
-  ASSERT_GT(num_pages, 4u);
+  ASSERT_GT(largest.num_pages, 4u);
 
   // After the clean open, flip one payload byte of each of its pages.
-  {
-    std::fstream io(path_, std::ios::in | std::ios::out | std::ios::binary);
-    for (uint64_t p = first_page; p < first_page + num_pages; ++p) {
-      const auto at = static_cast<std::streamoff>(p * kMinPageSize + payload);
-      io.seekp(at);
-      const char flipped = static_cast<char>(file[at] ^ 0x5A);
-      io.write(&flipped, 1);
-    }
-    ASSERT_TRUE(io.good());
-  }
+  ASSERT_TRUE(shortcut_extents::CorruptExtent(path_, file, largest));
 
   std::vector<Query> queries;
   Rng rng(31);

@@ -9,10 +9,11 @@
 //     whole-graph Dijkstra oracle, across fragmenters and engines.
 //   - Epoch copy-on-write: an update rebuilds dirty fragments into
 //     resident memory while clean fragments keep reading their immutable
-//     paged extents.
+//     paged extents; an epoch whose old pages cannot be read recomputes
+//     every shortcut relation and records why.
 //   - Concurrency: many threads scanning through a two-frame pool (the
-//     pin-exhaustion bypass path) and cold concurrent BestCost lookups
-//     (the lazily built indexes). This suite runs in the TSan leg.
+//     pin-exhaustion bypass path) and concurrent BestCost/MaxCost lookups
+//     on one relation. This suite runs in the TSan leg.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,6 +32,7 @@
 #include "graph/algorithms.h"
 #include "relational/relation.h"
 #include "relational/tuple_store.h"
+#include "shortcut_extents.h"
 #include "storage/database_io.h"
 
 namespace tcf {
@@ -108,6 +110,30 @@ void ExpectAnswersMatch(const Graph& g, const DsaDatabase& fresh,
       ASSERT_TRUE(paged_answer.connected) << s << "->" << u;
       EXPECT_NEAR(paged_answer.cost, expected, 1e-9) << s << "->" << u;
       EXPECT_EQ(paged_answer.cost, fresh_answer.cost) << s << "->" << u;
+    }
+  }
+}
+
+/// Deterministic randomized sweep: `snap` must answer as the whole-graph
+/// Dijkstra oracle on its own graph.
+void ExpectSnapshotMatchesOracle(const DsaSnapshot& snap, uint64_t seed) {
+  Rng rng(seed);
+  std::unordered_map<NodeId, ShortestPaths> oracle;
+  for (int i = 0; i < 24; ++i) {
+    const auto s =
+        static_cast<NodeId>(rng.NextBounded(snap.graph->NumNodes()));
+    const auto u =
+        static_cast<NodeId>(rng.NextBounded(snap.graph->NumNodes()));
+    if (s != u && !oracle.count(s)) {
+      oracle.emplace(s, Dijkstra(*snap.graph, s));
+    }
+    const Weight expected = s == u ? 0.0 : oracle.at(s).distance[u];
+    const auto answer = snap.db->ShortestPath(s, u);
+    if (expected == kInfinity) {
+      EXPECT_FALSE(answer.connected) << s << "->" << u;
+    } else {
+      ASSERT_TRUE(answer.connected) << s << "->" << u;
+      EXPECT_NEAR(answer.cost, expected, 1e-9) << s << "->" << u;
     }
   }
 }
@@ -298,26 +324,7 @@ TEST_F(PagedRelationTest, EpochCopyOnWriteRebuildsDirtyFragmentsResident) {
 
   // The updated database still answers oracle-exactly (oracle recomputed
   // on the post-update graph).
-  const DsaSnapshot snap = mdb.Snapshot();
-  Rng rng(77);
-  std::unordered_map<NodeId, ShortestPaths> oracle;
-  for (int i = 0; i < 24; ++i) {
-    const auto s =
-        static_cast<NodeId>(rng.NextBounded(snap.graph->NumNodes()));
-    const auto u =
-        static_cast<NodeId>(rng.NextBounded(snap.graph->NumNodes()));
-    if (s != u && !oracle.count(s)) {
-      oracle.emplace(s, Dijkstra(*snap.graph, s));
-    }
-    const Weight expected = s == u ? 0.0 : oracle.at(s).distance[u];
-    const auto answer = snap.db->ShortestPath(s, u);
-    if (expected == kInfinity) {
-      EXPECT_FALSE(answer.connected) << s << "->" << u;
-    } else {
-      ASSERT_TRUE(answer.connected) << s << "->" << u;
-      EXPECT_NEAR(answer.cost, expected, 1e-9) << s << "->" << u;
-    }
-  }
+  ASSERT_NO_FATAL_FAILURE(ExpectSnapshotMatchesOracle(mdb.Snapshot(), 77));
 
   // A no-op epoch (reweight to the current weight) publishes nothing and
   // materializes nothing: the carry-over is reference-sharing, not decode.
@@ -325,6 +332,59 @@ TEST_F(PagedRelationTest, EpochCopyOnWriteRebuildsDirtyFragmentsResident) {
       mdb.ApplyEpoch({EdgeUpdate::Reweight(wu, wv, wweight * 4.0)});
   EXPECT_FALSE(noop.published);
   EXPECT_EQ(count_paged(), paged_after);
+}
+
+TEST_F(PagedRelationTest, UnreadableOldEpochFallsBackToFullRecompute) {
+  const auto t = MakeTransport(29, 4, 12);
+  const Fragmentation frag = MakeFragmentation(t.graph, Fragmenter::kLinear,
+                                               1);
+  {
+    const DsaDatabase fresh(&frag);
+    SaveOptions save;
+    save.page_size = kMinPageSize;
+    ASSERT_TRUE(SaveDatabase(fresh, path_, save).ok());
+  }
+
+  OpenOptions paged;
+  paged.mode = OpenMode::kPaged;
+  paged.memory_budget_bytes = 4 * kMinPageSize;
+  Result<std::unique_ptr<MaintainedDatabase>> opened =
+      OpenMaintainedDatabase(path_, paged);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  MaintainedDatabase& mdb = *opened.value();
+
+  // After the clean open, flip one payload byte in every page of a
+  // fragment that spans more pages than the pool has frames: a stream of
+  // it cannot be served from frames filled before the damage.
+  const std::vector<char> file = shortcut_extents::ReadFileBytes(path_);
+  const std::vector<shortcut_extents::Extent> extents =
+      shortcut_extents::ReadExtents(file);
+  ASSERT_EQ(extents.size(), mdb.fragmentation().NumFragments());
+  const shortcut_extents::Extent largest = shortcut_extents::Largest(extents);
+  ASSERT_GT(largest.num_pages, 4u);
+  ASSERT_TRUE(shortcut_extents::CorruptExtent(path_, file, largest));
+
+  // Halving an edge's weight relaxes it, so the refresh probes the old
+  // relation of every fragment (none changes its border set) and meets
+  // the damaged pages.
+  const Edge e = mdb.graph().edges().front();
+  const EpochStats stats =
+      mdb.ApplyEpoch({EdgeUpdate::Reweight(e.src, e.dst, e.weight / 2)});
+  ASSERT_TRUE(stats.published);
+  EXPECT_EQ(stats.complementary_fallback.code(), StatusCode::kIOError)
+      << stats.complementary_fallback.ToString();
+
+  // The recompute is exact: every shortcut relation equals a fresh
+  // precompute on the new fragmentation, and answers match the oracle.
+  const DsaSnapshot snap = mdb.Snapshot();
+  const ComplementaryInfo expected = PrecomputeComplementary(*snap.frag);
+  const ComplementaryInfo& refreshed = snap.db->complementary();
+  ASSERT_EQ(refreshed.shortcuts.size(), expected.shortcuts.size());
+  for (size_t f = 0; f < expected.shortcuts.size(); ++f) {
+    EXPECT_FALSE(refreshed.shortcuts[f].is_paged()) << f;
+    ExpectSameTuples(refreshed.shortcuts[f], expected.shortcuts[f]);
+  }
+  ExpectSnapshotMatchesOracle(snap, 91);
 }
 
 TEST_F(PagedRelationTest, ConcurrentScansThroughTinyPool) {
@@ -484,9 +544,9 @@ TEST_F(PagedRelationTest, CorruptPageFailsQueryNotProcess) {
   EXPECT_GT(failed, 0) << "no query surfaced the corrupted storage";
 }
 
-TEST_F(PagedRelationTest, ConcurrentColdLookupsBuildIndexOnce) {
-  // Resident relation, index-cold: concurrent BestCost/MaxCost from many
-  // threads must race-freely build the lazy indexes and agree.
+TEST_F(PagedRelationTest, ConcurrentLookupsAgree) {
+  // Resident relation: concurrent BestCost/MaxCost from many threads must
+  // be race-free and agree.
   Relation rel;
   for (uint32_t i = 0; i < 64; ++i) {
     rel.Add(i % 8, (i + 1) % 8, 1.0 + static_cast<Weight>(i));
@@ -516,19 +576,20 @@ TEST_F(PagedRelationTest, ConcurrentColdLookupsBuildIndexOnce) {
   };
   hammer(rel);
 
-  // Mutation re-arms the lazy build; the next (single-threaded) lookup
-  // sees the new tuple, then the concurrent hammer still agrees.
+  // After a mutation the next (single-threaded) lookup sees the new
+  // tuple, then the concurrent hammer still agrees.
   rel.Add(7, 0, 0.25);
   EXPECT_EQ(rel.BestCost(7, 0), 0.25);
   hammer(rel);
 
-  // Paged relation: the cold index build streams tuples through the pool
-  // from every thread at once.
+  // Paged relation: every thread's lookup streams tuples through the pool
+  // at once.
   const auto t = MakeTransport(53, 4, 10);
   const Fragmentation frag = MakeFragmentation(t.graph, Fragmenter::kLinear,
                                                2);
   const DsaDatabase fresh(&frag);
-  const std::string path = ::testing::TempDir() + "paged_cold_index.tcfdb";
+  const std::string path =
+      ::testing::TempDir() + "paged_concurrent_lookups.tcfdb";
   SaveOptions save;
   save.page_size = kMinPageSize;
   ASSERT_TRUE(SaveDatabase(fresh, path, save).ok());

@@ -62,12 +62,12 @@ TEST(Relation, BestCostOfAbsentPairIsInfinity) {
   EXPECT_EQ(r.BestCost(5, 6), kInfinity);
 }
 
-TEST(Relation, IndexSurvivesMutationViaRebuild) {
+TEST(Relation, LookupSeesMutation) {
   Relation r;
   r.Add(0, 1, 2.0);
-  EXPECT_DOUBLE_EQ(r.BestCost(0, 1), 2.0);  // builds index
+  EXPECT_DOUBLE_EQ(r.BestCost(0, 1), 2.0);
   r.Add(0, 2, 4.0);
-  r.AggregateMin();  // invalidates + rebuild on next query
+  r.AggregateMin();  // the next lookup reads the mutated tuples
   EXPECT_DOUBLE_EQ(r.BestCost(0, 2), 4.0);
 }
 
@@ -140,12 +140,21 @@ TEST(Operators, ImprovingTuplesMinPlus) {
   cand.Add(0, 1, 9.0);   // improves 10
   cand.Add(0, 2, 5.0);   // new
   cand.Add(0, 3, 7.0);   // worse than 6
+  cand.Add(1, 2, 6.0);   // between 4 and 8: worse than best's 4
+  cand.Add(1, 3, 6.0);   // likewise
   best.Add(0, 1, 10.0);
   best.Add(0, 3, 6.0);
+  // Pairs held twice: the better cost first, then last.
+  best.Add(1, 2, 4.0);
+  best.Add(1, 2, 8.0);
+  best.Add(1, 3, 8.0);
+  best.Add(1, 3, 4.0);
   Relation imp = ImprovingTuples(cand, best, /*min_plus=*/true);
   EXPECT_EQ(imp.size(), 2u);
   EXPECT_DOUBLE_EQ(imp.BestCost(0, 1), 9.0);
   EXPECT_TRUE(imp.Contains(0, 2));
+  EXPECT_FALSE(imp.Contains(1, 2));
+  EXPECT_FALSE(imp.Contains(1, 3));
 }
 
 // ------------------------------------------------------------- TC basics
