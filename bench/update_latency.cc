@@ -10,7 +10,10 @@
 //      reported beside it.
 //   2. epoch cost — direct single-op ApplyEpoch timing per update kind:
 //      reweight-only epochs ride the incremental complementary refresh,
-//      inserts/deletes pay the structural path.
+//      inserts/deletes pay the structural path. A third row times
+//      reweights on perfbench's paged-wide-ds database (the 8x300 ring
+//      with 16 edges per link, reopened paged), whose 165 border nodes
+//      make the state an epoch carries over large next to its searches.
 //
 // `update_latency [N [clients]]` sets the per-cell query count (default
 // 6000) and reader-thread count (default 4); `--json <path>` writes the
@@ -23,6 +26,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +35,7 @@
 #include "dsa/maintenance.h"
 #include "dsa/service.h"
 #include "dsa/workload.h"
+#include "storage/database_io.h"
 #include "util/timer.h"
 
 using namespace tcf;
@@ -179,6 +184,53 @@ void ReadsUnderUpdates(const Fragmentation& frag, size_t num_queries,
   std::printf("\n");
 }
 
+/// perfbench's paged-wide-ds database: the 8x300-node ring with 16 edges
+/// per link, center-based with distributed centers into 8 fragments,
+/// saved to `path` and reopened paged through a pool of a quarter of its
+/// shortcut pages.
+std::unique_ptr<MaintainedDatabase> OpenPagedRing(const std::string& path) {
+  constexpr size_t kClusters = 8;
+  TransportationGraphOptions gen;
+  gen.num_clusters = kClusters;
+  gen.nodes_per_cluster = 300;
+  gen.target_edges_per_cluster = 1200.0;
+  for (size_t c = 0; c < kClusters; ++c) {
+    gen.links.push_back(InterClusterLink{c, (c + 1) % kClusters, 16});
+  }
+  Rng rng(7);
+  const TransportationGraph t = GenerateTransportationGraph(gen, &rng);
+  CenterBasedOptions copts;
+  copts.num_fragments = kClusters;
+  copts.distributed_centers = true;
+  const Fragmentation frag = CenterBasedFragmentation(t.graph, copts);
+  const DsaDatabase db(&frag);
+  const Status saved = SaveDatabase(db, path);
+  if (!saved.ok()) {
+    std::fprintf(stderr, "update_latency: save: %s\n",
+                 saved.ToString().c_str());
+    std::exit(1);
+  }
+  // Each shortcut blob (u64 count + 16 bytes per tuple) starts on its own
+  // page (docs/STORAGE.md).
+  const size_t payload = PagePayloadCapacity(kDefaultPageSize);
+  size_t shortcut_pages = 0;
+  for (const Relation& r : db.complementary().shortcuts) {
+    shortcut_pages += (8 + 16 * r.size() + payload - 1) / payload;
+  }
+  OpenOptions options;
+  options.mode = OpenMode::kPaged;
+  options.memory_budget_bytes =
+      std::max<size_t>(2, shortcut_pages / 4) * kDefaultPageSize;
+  Result<std::unique_ptr<MaintainedDatabase>> opened =
+      OpenMaintainedDatabase(path, options);
+  if (!opened.ok()) {
+    std::fprintf(stderr, "update_latency: open: %s\n",
+                 opened.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(opened).value();
+}
+
 void EpochCost(const Fragmentation& frag, JsonMetrics* metrics) {
   constexpr size_t kEpochs = 200;
   std::printf("epoch cost: %zu single-op epochs per kind (direct "
@@ -187,29 +239,41 @@ void EpochCost(const Fragmentation& frag, JsonMetrics* metrics) {
   TablePrinter table({"kind", "epochs/s", "mean ms", "structural",
                       "dirty borders", "reused borders"});
 
-  struct Kind {
+  enum class Kind { kReweight, kStructural, kPagedReweight };
+  struct Row {
     const char* name;
     const char* key;
+    Kind kind;
   };
-  constexpr Kind kKinds[] = {{"reweight", "reweight"},
-                             {"insert+delete", "structural"}};
-  for (const Kind& kind : kKinds) {
-    MaintainedDatabase mdb = MaintainedDatabase::FromFragmentation(frag);
-    const std::vector<Edge> initial_edges = mdb.graph().edges();
+  constexpr Row kRows[] = {
+      {"reweight", "reweight", Kind::kReweight},
+      {"insert+delete", "structural", Kind::kStructural},
+      {"paged ring reweight", "paged_reweight", Kind::kPagedReweight}};
+  const std::string paged_path = "bench_update_latency.tcfdb";
+  for (const Row& row : kRows) {
+    std::unique_ptr<MaintainedDatabase> mdb =
+        row.kind == Kind::kPagedReweight
+            ? OpenPagedRing(paged_path)
+            : std::make_unique<MaintainedDatabase>(
+                  frag.graph(), frag.fragment_of_edge(), frag.NumFragments());
+    const std::vector<Edge> initial_edges = mdb->graph().edges();
     Rng rng(113);
     size_t structural = 0, dirty = 0, reused = 0;
     WallTimer timer;
     for (size_t i = 0; i < kEpochs; ++i) {
       const Edge& e = initial_edges[rng.NextBounded(initial_edges.size())];
       EpochStats stats;
-      if (std::string(kind.key) == "reweight") {
-        stats = mdb.ApplyEpoch({EdgeUpdate::Reweight(
+      if (row.kind == Kind::kReweight) {
+        stats = mdb->ApplyEpoch({EdgeUpdate::Reweight(
             e.src, e.dst, e.weight * rng.NextDouble(0.5, 1.5))});
+      } else if (row.kind == Kind::kPagedReweight) {
+        stats = mdb->ApplyEpoch({EdgeUpdate::Reweight(
+            e.src, e.dst, e.weight * rng.NextDouble(0.5, 2.0))});
       } else if (i % 2 == 0) {
-        stats = mdb.ApplyEpoch({EdgeUpdate::Insert(
+        stats = mdb->ApplyEpoch({EdgeUpdate::Insert(
             e.src, e.dst, e.weight * rng.NextDouble(0.5, 1.5))});
       } else {
-        stats = mdb.ApplyEpoch({EdgeUpdate::Delete(e.src, e.dst)});
+        stats = mdb->ApplyEpoch({EdgeUpdate::Delete(e.src, e.dst)});
       }
       structural += stats.structural ? 1 : 0;
       dirty += stats.dirty_border_nodes;
@@ -217,16 +281,17 @@ void EpochCost(const Fragmentation& frag, JsonMetrics* metrics) {
     }
     const double seconds = timer.ElapsedSeconds();
     const double eps = static_cast<double>(kEpochs) / seconds;
-    table.AddRow({kind.name, TablePrinter::Fmt(eps, 0),
+    table.AddRow({row.name, TablePrinter::Fmt(eps, 0),
                   TablePrinter::Fmt(1e3 * seconds / kEpochs, 3),
                   std::to_string(structural), std::to_string(dirty),
                   std::to_string(reused)});
-    metrics->Set(std::string("epoch/") + kind.key + "_epochs_qps", eps);
-    metrics->Set(std::string("epoch/") + kind.key + "_dirty_borders",
+    metrics->Set(std::string("epoch/") + row.key + "_epochs_qps", eps);
+    metrics->Set(std::string("epoch/") + row.key + "_dirty_borders",
                  static_cast<double>(dirty));
-    metrics->Set(std::string("epoch/") + kind.key + "_reused_borders",
+    metrics->Set(std::string("epoch/") + row.key + "_reused_borders",
                  static_cast<double>(reused));
   }
+  std::remove(paged_path.c_str());
   table.Print();
   std::printf("\n");
 }

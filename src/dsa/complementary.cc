@@ -1,5 +1,6 @@
 #include "dsa/complementary.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -7,23 +8,83 @@
 
 namespace tcf {
 
+void WitnessRow::Append(std::span<const NodeId> route) {
+  TCF_CHECK(route.size() >= 2);
+  TCF_CHECK(targets.empty() || route.back() > targets.back());
+  nodes.insert(nodes.end(), route.begin(), route.end());
+  targets.push_back(route.back());
+  offsets.push_back(nodes.size());
+}
+
+std::span<const NodeId> ComplementaryInfo::Witness(NodeId x,
+                                                   NodeId y) const {
+  const auto row = witness.find(x);
+  if (row == witness.end()) return {};
+  const std::vector<NodeId>& targets = row->second->targets;
+  const auto it = std::lower_bound(targets.begin(), targets.end(), y);
+  if (it == targets.end() || *it != y) return {};
+  return row->second->Route(static_cast<size_t>(it - targets.begin()));
+}
+
+namespace {
+
+/// Every border node of every fragment containing x, other than x, sorted.
+std::vector<NodeId> CoBorders(const Fragmentation& frag, NodeId x) {
+  std::vector<NodeId> out;
+  for (FragmentId f : frag.FragmentsOfNode(x)) {
+    const std::vector<NodeId>& borders = frag.BorderNodes(f);
+    out.insert(out.end(), borders.begin(), borders.end());
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  out.erase(std::remove(out.begin(), out.end(), x), out.end());
+  return out;
+}
+
+/// x's row from its whole-graph search `sp`; null when no co-border is
+/// reachable.
+std::shared_ptr<const WitnessRow> BuildRow(const Fragmentation& frag,
+                                           NodeId x,
+                                           const ShortestPaths& sp) {
+  auto row = std::make_shared<WitnessRow>();
+  for (NodeId y : CoBorders(frag, x)) {
+    if (sp.distance[y] != kInfinity) row->Append(sp.PathTo(y));
+  }
+  if (row->targets.empty()) return nullptr;
+  return row;
+}
+
+/// The routes of `row` whose targets are in `keep` (sorted); null when
+/// none is left.
+std::shared_ptr<const WitnessRow> FilterRow(const WitnessRow& row,
+                                            const std::vector<NodeId>& keep) {
+  auto out = std::make_shared<WitnessRow>();
+  for (size_t i = 0; i < row.size(); ++i) {
+    if (std::binary_search(keep.begin(), keep.end(), row.targets[i])) {
+      out->Append(row.Route(i));
+    }
+  }
+  if (out->targets.empty()) return nullptr;
+  return out;
+}
+
+}  // namespace
+
 ComplementaryInfo PrecomputeComplementary(const Fragmentation& frag) {
   const Graph& g = frag.graph();
   ComplementaryInfo info;
   info.shortcuts.resize(frag.NumFragments());
 
-  // Distinct border nodes across all fragments.
-  std::vector<NodeId> border;
-  for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    if (frag.IsBorderNode(v)) border.push_back(v);
-  }
-
-  // One global single-source search per border node.
+  // One global single-source search per distinct border node.
   std::unordered_map<NodeId, ShortestPaths> search_from;
-  search_from.reserve(border.size());
-  for (NodeId v : border) {
-    search_from.emplace(v, Dijkstra(g, v));
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    if (!frag.IsBorderNode(v)) continue;
+    const ShortestPaths& sp =
+        search_from.emplace(v, Dijkstra(g, v)).first->second;
     ++info.searches;
+    if (auto row = BuildRow(frag, v, sp)) {
+      info.witness.emplace(v, std::move(row));
+    }
   }
 
   for (FragmentId f = 0; f < frag.NumFragments(); ++f) {
@@ -35,7 +96,6 @@ ComplementaryInfo PrecomputeComplementary(const Fragmentation& frag) {
         if (x == y) continue;
         if (sp.distance[y] == kInfinity) continue;
         rel.Add(x, y, sp.distance[y]);
-        info.witness.emplace(PairKey(x, y), sp.PathTo(y));
       }
     }
     rel.SortCanonical();
@@ -77,28 +137,36 @@ Status TryRefreshIncremental(const Fragmentation& frag,
 
   // Rule (b): tightened edges can only break stored witness routes. A
   // source whose every witness avoids them keeps all its old distances.
+  // The set is probed only at hops leaving a tightened edge's tail.
   if (!delta.tightened.empty()) {
     std::unordered_set<uint64_t> tightened;
+    std::vector<char> tightened_tail(g.NumNodes(), 0);
     tightened.reserve(delta.tightened.size());
     for (const auto& [u, v] : delta.tightened) {
       tightened.insert(PairKey(u, v));
+      tightened_tail[u] = 1;
     }
-    for (const auto& [key, route] : old.witness) {
-      const NodeId x = static_cast<NodeId>(key >> 32);
-      if (x >= dirty.size() || dirty[x]) continue;
+    auto crosses = [&](std::span<const NodeId> route) {
       for (size_t i = 0; i + 1 < route.size(); ++i) {
-        if (tightened.count(PairKey(route[i], route[i + 1])) > 0) {
-          dirty[x] = 1;
-          break;
+        if (tightened_tail[route[i]] &&
+            tightened.count(PairKey(route[i], route[i + 1])) > 0) {
+          return true;
         }
+      }
+      return false;
+    };
+    for (const auto& [x, row] : old.witness) {
+      if (x >= dirty.size() || dirty[x]) continue;
+      for (size_t i = 0; i < row->size() && !dirty[x]; ++i) {
+        dirty[x] = crosses(row->Route(i)) ? 1 : 0;
       }
     }
   }
 
-  // Rule (c) and the clean-source carry-over below probe the old shortcut
-  // relations. Each one probed is read once, on its first probe, into a
-  // map of min costs; for a paged relation this is where the store is
-  // read, and a disk fault surfaces as a Status, not a crash.
+  // Rule (c) and the clean sources of dirty fragments below probe the old
+  // shortcut relations. Each one probed is read once, on its first probe,
+  // into a map of min costs; for a paged relation this is where the store
+  // is read, and a disk fault surfaces as a Status, not a crash.
   std::vector<std::unordered_map<uint64_t, Weight>> old_costs(num_frags);
   std::vector<char> old_read(num_frags, 0);
   auto read_old = [&](FragmentId f) -> Status {
@@ -144,17 +212,30 @@ Status TryRefreshIncremental(const Fragmentation& frag,
     }
   }
 
-  // Re-run the whole-graph search of exactly the dirty border nodes.
+  // Re-run the whole-graph search of exactly the dirty border nodes; a
+  // dirty source gets a fresh witness row. A clean source keeps its old
+  // row by pointer: its distances, and with no gained fragment (that would
+  // have changed a border set) its co-borders, are unchanged — unless it
+  // left a fragment, which shrinks its co-borders to a filtered copy.
   std::unordered_map<NodeId, ShortestPaths> fresh;
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     if (!frag.IsBorderNode(v)) continue;
+    std::shared_ptr<const WitnessRow> row;
     if (dirty[v]) {
-      fresh.emplace(v, Dijkstra(g, v));
+      const ShortestPaths& sp =
+          fresh.emplace(v, Dijkstra(g, v)).first->second;
       ++info.searches;
       ++out.dirty_border_nodes;
+      row = BuildRow(frag, v, sp);
     } else {
       ++out.reused_border_nodes;
+      const auto it = old.witness.find(v);
+      if (it == old.witness.end()) continue;
+      row = frag.FragmentsOfNode(v) == old_frag.FragmentsOfNode(v)
+                ? it->second
+                : FilterRow(*it->second, CoBorders(frag, v));
     }
+    if (row != nullptr) info.witness.emplace(v, std::move(row));
   }
 
   for (FragmentId f = 0; f < num_frags; ++f) {
@@ -163,19 +244,12 @@ Status TryRefreshIncremental(const Fragmentation& frag,
     for (NodeId x : borders) any_dirty = any_dirty || dirty[x] != 0;
 
     if (!any_dirty) {
-      // Untouched schema, untouched distances: the old relation (and its
-      // witnesses) carry over verbatim. A paged relation carries over as a
-      // shared reference to its immutable store — no copy, no decode;
-      // dirty fragments below are rebuilt tuple by tuple into resident
-      // memory (the copy-on-write half of the epoch contract).
+      // Untouched schema, untouched distances: the old relation carries
+      // over by handle, unread. A paged relation stays a shared reference
+      // to its immutable store; dirty fragments below are rebuilt tuple by
+      // tuple into resident memory (the copy-on-write half of the epoch
+      // contract).
       info.shortcuts[f] = old.shortcuts[f];
-      TCF_RETURN_NOT_OK(
-          info.shortcuts[f].ForEach([&](const PathTuple& t) {
-            auto it = old.witness.find(PairKey(t.src, t.dst));
-            if (it != old.witness.end()) {
-              info.witness.emplace(it->first, it->second);
-            }
-          }));
       info.total_tuples += info.shortcuts[f].size();
       ++out.reused_fragments;
       continue;
@@ -189,7 +263,6 @@ Status TryRefreshIncremental(const Fragmentation& frag,
         for (NodeId y : borders) {
           if (x == y || sp.distance[y] == kInfinity) continue;
           rel.Add(x, y, sp.distance[y]);
-          info.witness.emplace(PairKey(x, y), sp.PathTo(y));
         }
       } else {
         // A clean source inside a dirty fragment (possible only when the
@@ -200,10 +273,6 @@ Status TryRefreshIncremental(const Fragmentation& frag,
           const Weight c = old_cost(f, x, y);
           if (c == kInfinity) continue;
           rel.Add(x, y, c);
-          auto it = old.witness.find(PairKey(x, y));
-          if (it != old.witness.end()) {
-            info.witness.emplace(it->first, it->second);
-          }
         }
       }
     }

@@ -16,7 +16,9 @@
 // against a whole-graph Dijkstra oracle).
 #pragma once
 
-#include <unordered_map>
+#include <map>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "fragment/fragmentation.h"
@@ -24,18 +26,45 @@
 
 namespace tcf {
 
+/// One border node x's witness routes: for each co-border y (a border node
+/// of a fragment that contains x, other than x) at a finite distance, the
+/// global node sequence x..y that realizes d*(x, y). Routes are stored
+/// flat: the route to targets[i] is nodes[offsets[i], offsets[i + 1]).
+struct WitnessRow {
+  std::vector<NodeId> targets;    // strictly increasing
+  std::vector<size_t> offsets{0};
+  std::vector<NodeId> nodes;
+
+  size_t size() const { return targets.size(); }
+  std::span<const NodeId> Route(size_t i) const {
+    return {nodes.data() + offsets[i], offsets[i + 1] - offsets[i]};
+  }
+  /// Appends the route to route.back(), which must exceed every target
+  /// already in the row.
+  void Append(std::span<const NodeId> route);
+};
+
+/// Witness rows by source border node.
+using WitnessMap = std::map<NodeId, std::shared_ptr<const WitnessRow>>;
+
 /// Precomputed shortcut relations, one per fragment.
 struct ComplementaryInfo {
   /// shortcuts[f]: tuples (x, y, d*(x, y)) for border nodes x != y of
   /// fragment f with finite global shortest distance.
   std::vector<Relation> shortcuts;
 
-  /// Witness routes for the shortcut tuples: the realizing global node
-  /// sequence x..y, keyed by PairKey(x, y). Shared across fragments (the
-  /// shortcut between two border nodes is the same everywhere). Used by
-  /// route reconstruction to expand shortcut hops back into real edges
-  /// ("the properties of their connections", Sec. 2.1).
-  std::unordered_map<uint64_t, std::vector<NodeId>> witness;
+  /// Witness routes for the shortcut tuples, one immutable row per source
+  /// border node (none for a source without routes). The shortcut between
+  /// two border nodes is the same in every fragment that holds it, so one
+  /// route serves them all. Route reconstruction expands shortcut hops
+  /// back into real edges through them ("the properties of their
+  /// connections", Sec. 2.1). An epoch that leaves a source clean shares
+  /// its row with the old snapshot rather than copying it (see
+  /// RefreshComplementary).
+  WitnessMap witness;
+
+  /// The witness route x..y; empty when there is none.
+  std::span<const NodeId> Witness(NodeId x, NodeId y) const;
 
   /// Total stored tuples — the paper's pre-processing cost that "may be
   /// amortized over many queries".
@@ -74,7 +103,7 @@ struct ComplementaryRefresh {
   size_t dirty_border_nodes = 0;   // whole-graph searches re-run
   size_t reused_border_nodes = 0;  // border nodes whose tuples carried over
   size_t dirty_fragments = 0;      // shortcut relations rebuilt
-  size_t reused_fragments = 0;     // shortcut relations copied verbatim
+  size_t reused_fragments = 0;     // shortcut relations kept by handle
   /// OK when the incremental path ran; set to the storage error that
   /// forced a full recompute when reading the old (paged) shortcut
   /// relations failed. The refreshed info is exact either way.
@@ -94,10 +123,12 @@ struct ComplementaryRefresh {
 ///     (any genuinely shorter new path decomposes at its last modified
 ///     edge, so the probe cannot miss an improvement).
 /// Fragments with no dirty border and an unchanged border set keep their
-/// shortcut relation and witnesses verbatim. Exact — tests hold the
-/// result to the full-recompute oracle. Requires `frag` and `old_frag` to
-/// have the same fragment count with aligned ids (the caller falls back
-/// to PrecomputeComplementary when compaction renumbered fragments).
+/// shortcut relation by handle, unread. A clean source keeps its witness
+/// row by pointer, or a copy filtered to its current co-borders when it
+/// left a fragment. Exact — tests hold the result to the full-recompute
+/// oracle. Requires `frag` and `old_frag` to have the same fragment count
+/// with aligned ids (the caller falls back to PrecomputeComplementary
+/// when compaction renumbered fragments).
 ComplementaryRefresh RefreshComplementary(const Fragmentation& frag,
                                           const Fragmentation& old_frag,
                                           const ComplementaryInfo& old,

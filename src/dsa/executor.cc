@@ -574,17 +574,16 @@ RouteAnswer AssembleRouteAnswer(const Fragmentation& frag,
         out.route.push_back(nodes[k + 1]);
         continue;
       }
-      auto witness =
-          complementary.witness.find(PairKey(nodes[k], nodes[k + 1]));
-      if (witness == complementary.witness.end()) {
+      const std::span<const NodeId> witness =
+          complementary.Witness(nodes[k], nodes[k + 1]);
+      if (witness.empty()) {
         std::string message = "no witness route for shortcut ";
         message += std::to_string(nodes[k]);
         message += "->";
         message += std::to_string(nodes[k + 1]);
         return fail(Status::InvalidArgument(message));
       }
-      out.route.insert(out.route.end(), witness->second.begin() + 1,
-                       witness->second.end());
+      out.route.insert(out.route.end(), witness.begin() + 1, witness.end());
     }
   }
   if (report != nullptr) report->assembly_seconds += timer.ElapsedSeconds();

@@ -150,6 +150,7 @@ EpochStats MaintainedDatabase::ApplyEpoch(
   // legacy meter) is against PRE-epoch node sets, matching the single-op
   // semantics the meters always had.
   ComplementaryDelta delta;
+  std::vector<std::pair<EdgeId, Weight>> reweighted;
   bool structural = false;
   for (const EdgeUpdate& u : updates) {
     TCF_CHECK_MSG(u.HasValidWeight(),
@@ -201,12 +202,14 @@ EpochStats MaintainedDatabase::ApplyEpoch(
         bool decreased = false;
         bool increased = false;
         size_t changed = 0;
-        for (Edge& e : edges_) {
+        for (EdgeId id = 0; id < edges_.size(); ++id) {
+          Edge& e = edges_[id];
           if (e.src != u.src || e.dst != u.dst || e.weight == u.weight) {
             continue;
           }
           (u.weight < e.weight ? decreased : increased) = true;
           e.weight = u.weight;
+          reweighted.emplace_back(id, u.weight);
           ++changed;
         }
         if (changed == 0) break;
@@ -227,12 +230,33 @@ EpochStats MaintainedDatabase::ApplyEpoch(
   stats.published = true;
   stats.structural = structural;
 
-  auto graph = std::make_shared<const Graph>(
-      BuildStagedGraph(coords_, num_nodes_, edges_));
-  std::shared_ptr<const Fragmentation> frag(
-      new Fragmentation(graph.get(), fragment_of_edge_, num_fragments_),
-      [graph](const Fragmentation* p) { delete p; });
-  fragment_of_edge_ = frag->fragment_of_edge();
+  // An epoch that inserted and deleted nothing keeps the edge list and its
+  // fragment assignment, and with them everything the fragmentation
+  // derives: it patches the old graph's weights and copies the old
+  // fragmentation. Any other epoch rebuilds both from the staged edges.
+  const bool edge_set_changed =
+      stats.edges_inserted > 0 || stats.edges_removed > 0;
+  std::shared_ptr<const Graph> graph;
+  std::shared_ptr<const Fragmentation> frag;
+  if (edge_set_changed) {
+    graph = std::make_shared<const Graph>(
+        BuildStagedGraph(coords_, num_nodes_, edges_));
+    frag.reset(
+        new Fragmentation(graph.get(), fragment_of_edge_, num_fragments_),
+        [graph](const Fragmentation* p) { delete p; });
+    fragment_of_edge_ = frag->fragment_of_edge();
+  } else {
+    // edges_ is index-aligned with the snapshot graph's edge ids.
+    const Graph& old_graph = *old_snap.graph;
+    TCF_CHECK(old_graph.NumEdges() == edges_.size());
+    for (const auto& [id, weight] : reweighted) {
+      TCF_CHECK(old_graph.edge(id).src == edges_[id].src &&
+                old_graph.edge(id).dst == edges_[id].dst);
+    }
+    graph = std::make_shared<const Graph>(old_graph.Reweighted(reweighted));
+    frag.reset(new Fragmentation(graph.get(), old_frag),
+               [graph](const Fragmentation* p) { delete p; });
+  }
   const size_t new_num_fragments = frag->NumFragments();
   // Compaction preserves the relative order of nonempty fragments, so an
   // unchanged count means unchanged ids; a changed count renumbers and

@@ -16,16 +16,19 @@
 //
 //   - *complementary refresh* — shortcut relations are refreshed
 //     incrementally (RefreshComplementary): only border nodes whose
-//     global distances can have moved are re-searched, the rest carry
-//     over. A full recompute happens only when compaction renumbered
-//     fragments.
-//   - *structural rebuild* — an epoch that changes fragment node sets
-//     additionally re-derives disconnection sets and the fragmentation
-//     graph. The legacy meters (complementary_refreshes /
-//     structural_rebuilds) keep their original conservative per-update
-//     semantics — a deletion that removed edges always counts as
-//     structural — while EpochStats reports the exact post-hoc dirty and
-//     reuse counts.
+//     global distances can have moved are re-searched. A clean
+//     fragment's relation and a clean border node's witness row are
+//     shared with the old snapshot, not copied. A full recompute happens
+//     only when compaction renumbered fragments.
+//   - *graph and fragmentation* — an epoch that inserted and deleted
+//     nothing keeps the edge list: it patches the old graph's weights and
+//     copies the old fragmentation. An insert or delete epoch rebuilds
+//     both from the staged edges, re-deriving node sets, disconnection
+//     sets and the fragmentation graph. The legacy meters
+//     (complementary_refreshes / structural_rebuilds) keep their original
+//     conservative per-update semantics — a deletion that removed edges
+//     always counts as structural — while EpochStats reports the exact
+//     post-hoc dirty and reuse counts.
 //   - *plan-cache succession* — the successor database inherits every
 //     chain skeleton that provably cannot have changed (no chain through a
 //     dirty fragment); skeletons are invalidated by version succession,
@@ -210,7 +213,9 @@ class MaintainedDatabase {
 
   DsaOptions options_;
 
-  // Authoritative staged state; guarded by update_mutex_.
+  // Authoritative staged state; guarded by update_mutex_. Between epochs
+  // edges_[i] is the published graph's edge i, which reweight-only
+  // epochs rely on to patch that graph by edge id.
   std::vector<Edge> edges_;
   std::vector<Point> coords_;  // empty when the graph has no coordinates
   size_t num_nodes_ = 0;

@@ -45,6 +45,10 @@ std::vector<Result<Weight>> CostsOf(const BatchResult& result) {
 
 }  // namespace
 
+Status ServiceBackend::CheckUpdate(const EdgeUpdate&) const {
+  return Status::OK();
+}
+
 uint64_t ServiceBackend::ApplyUpdates(const std::vector<EdgeUpdate>&) {
   TCF_CHECK_MSG(false, "backend does not support updates");
   return 0;
@@ -87,6 +91,17 @@ std::vector<Result<Weight>> MaintainedBackend::ExecuteBatch(
 BatchStats MaintainedBackend::cumulative_stats() const {
   std::lock_guard<std::mutex> lock(stats_mutex_);
   return cumulative_;
+}
+
+Status MaintainedBackend::CheckUpdate(const EdgeUpdate& update) const {
+  if (update.kind != EdgeUpdate::Kind::kInsert || !update.target) {
+    return Status::OK();
+  }
+  const size_t num_fragments = mdb_->Snapshot().frag->NumFragments();
+  if (*update.target < num_fragments) return Status::OK();
+  return Status::OutOfRange("insert target fragment " +
+                            std::to_string(*update.target) + " out of range (" +
+                            std::to_string(num_fragments) + " fragments)");
 }
 
 uint64_t MaintainedBackend::ApplyUpdates(
@@ -315,6 +330,16 @@ void QueryService::UpdateLoop() {
       if (update_queue_.empty()) break;  // stopping, and fully drained
       pending.swap(update_queue_);
     }
+
+    // An update the current epoch rejects fails its own future alone.
+    std::erase_if(pending, [this](PendingUpdate& p) {
+      const Status valid = backend_->CheckUpdate(p.update);
+      if (valid.ok()) return false;
+      p.promise.set_exception(
+          std::make_exception_ptr(std::out_of_range(valid.message())));
+      return true;
+    });
+    if (pending.empty()) continue;
 
     // All pending updates become ONE maintenance epoch. The snapshot swap
     // inside ApplyUpdates is the epoch barrier: flush workers executing

@@ -127,6 +127,12 @@ class ServiceBackend {
   /// it.
   virtual bool SupportsUpdates() const { return false; }
 
+  /// Checks what only the current epoch can judge: a kOutOfRange Status
+  /// rejects the update without applying it. Called only from the
+  /// update-applier thread, right before the ApplyUpdates that would
+  /// stage it, so no epoch can intervene between the check and the apply.
+  virtual Status CheckUpdate(const EdgeUpdate& update) const;
+
   /// Applies `updates` in order as ONE maintenance epoch and returns the
   /// epoch id readers see afterwards (the pre-existing epoch when every op
   /// was a no-op). Called only from the update-applier thread.
@@ -171,6 +177,9 @@ class MaintainedBackend : public ServiceBackend {
   std::vector<Result<Weight>> ExecuteBatch(
       const std::vector<Query>& queries) override;
   bool SupportsUpdates() const override { return true; }
+  /// An insert's fragment override must name a fragment of the current
+  /// epoch, the one the insert will be staged against.
+  Status CheckUpdate(const EdgeUpdate& update) const override;
   uint64_t ApplyUpdates(const std::vector<EdgeUpdate>& updates) override;
 
   const MaintainedDatabase& maintained() const { return *mdb_; }
@@ -339,7 +348,9 @@ class QueryService {
   /// afterwards executes on that epoch or later (see the header comment
   /// for why this holds under concurrent flush workers). Carries
   /// std::runtime_error if the backend has no update support or the
-  /// service is shut down, std::out_of_range for unknown node ids, and
+  /// service is shut down, std::out_of_range for unknown node ids or an
+  /// insert target that names no fragment of the epoch it would join
+  /// (checked by the applier; the epoch's other updates still apply), and
   /// std::invalid_argument for an insert or reweight whose weight is
   /// negative or not finite (the epoch does not advance). The
   /// update queue is unbounded — updates are expected to be orders of

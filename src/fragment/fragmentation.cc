@@ -114,6 +114,16 @@ Fragmentation::Fragmentation(const Graph* graph,
   local_graphs_ = LocalGraphCache(nf);
 }
 
+Fragmentation::Fragmentation(const Graph* graph,
+                             const Fragmentation& same_edges)
+    : Fragmentation(same_edges) {
+  TCF_CHECK(graph != nullptr);
+  TCF_CHECK_MSG(graph->NumEdges() == fragment_of_edge_.size() &&
+                    graph->NumNodes() == graph_->NumNodes(),
+                "a reweighted graph keeps the edge list");
+  graph_ = graph;
+}
+
 const DisconnectionSet* Fragmentation::FindDisconnectionSet(
     FragmentId a, FragmentId b) const {
   if (a > b) std::swap(a, b);

@@ -67,6 +67,12 @@ class Fragmentation {
   Fragmentation(const Graph* graph, std::vector<FragmentId> fragment_of_edge,
                 size_t num_fragments);
 
+  /// A copy of `same_edges` bound to `graph`, which must have the same edge
+  /// list as same_edges.graph() up to weights: node and edge sets, and so
+  /// everything derived from them, carry over. Local graphs, which hold
+  /// weights, start cold.
+  Fragmentation(const Graph* graph, const Fragmentation& same_edges);
+
   const Graph& graph() const { return *graph_; }
   size_t NumFragments() const { return fragment_edges_.size(); }
 

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "util/status.h"
@@ -117,6 +118,12 @@ class Graph {
 
   /// True if for every edge (u, v) the reverse edge (v, u) also exists.
   bool IsSymmetric() const;
+
+  /// A copy with each listed edge's weight replaced (later entries for one
+  /// edge win). Edge ids, the CSR layout and the neighbor lists are kept,
+  /// so this costs one copy, not a rebuild.
+  Graph Reweighted(
+      std::span<const std::pair<EdgeId, Weight>> new_weights) const;
 
  private:
   friend class GraphBuilder;

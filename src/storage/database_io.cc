@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -119,19 +120,20 @@ Result<std::string> EncodeShortcutBlob(const Relation& shortcuts) {
   return w.TakeBuffer();
 }
 
-std::string EncodeWitnessBlob(
-    const std::unordered_map<uint64_t, std::vector<NodeId>>& witness) {
-  std::vector<uint64_t> keys;
-  keys.reserve(witness.size());
-  for (const auto& [key, route] : witness) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());  // deterministic bytes
+std::string EncodeWitnessBlob(const WitnessMap& witness) {
+  size_t count = 0;
+  for (const auto& [x, row] : witness) count += row->size();
   WireWriter w;
-  w.PutU64(keys.size());
-  for (uint64_t key : keys) {
-    const std::vector<NodeId>& route = witness.at(key);
-    w.PutU64(key);
-    w.PutU32(static_cast<uint32_t>(route.size()));
-    for (NodeId n : route) w.PutU32(n);
+  w.PutU64(count);
+  // Rows ascend by source and each row's targets ascend, so the keys come
+  // out strictly increasing (deterministic bytes).
+  for (const auto& [x, row] : witness) {
+    for (size_t i = 0; i < row->size(); ++i) {
+      const std::span<const NodeId> route = row->Route(i);
+      w.PutU64(PairKey(x, row->targets[i]));
+      w.PutU32(static_cast<uint32_t>(route.size()));
+      for (NodeId n : route) w.PutU32(n);
+    }
   }
   return w.TakeBuffer();
 }
@@ -626,39 +628,50 @@ Result<Relation> DecodeShortcutBlob(const std::string& blob,
   return Relation(std::move(tuples));
 }
 
-Status DecodeWitnessBlob(
-    const std::string& blob, uint64_t num_nodes,
-    std::unordered_map<uint64_t, std::vector<NodeId>>* witness) {
+Status DecodeWitnessBlob(const std::string& blob, uint64_t num_nodes,
+                         WitnessMap* witness) {
   WireReader r(blob);
   uint64_t count = 0;
   if (!r.ReadU64(&count)) {
     return Status::InvalidArgument("witness blob: truncated header");
   }
   TCF_RETURN_NOT_OK(CheckDeclaredCount(count, 12, r, "witness blob"));
-  witness->reserve(count);
+  auto entry = [](uint64_t i) {
+    return "witness blob entry " + std::to_string(i);
+  };
+  // Keys strictly increase, so each source's routes are contiguous and
+  // arrive in target order: one row is filled at a time.
+  std::shared_ptr<WitnessRow> row;
+  NodeId row_src = 0;
+  uint64_t previous_key = 0;
+  std::vector<NodeId> route;
   for (uint64_t i = 0; i < count; ++i) {
-    const std::string context = "witness blob entry " + std::to_string(i);
     uint64_t key = 0;
     uint32_t length = 0;
     if (!r.ReadU64(&key) || !r.ReadU32(&length)) {
-      return Status::InvalidArgument(context + ": truncated");
+      return Status::InvalidArgument(entry(i) + ": truncated");
     }
+    if (i > 0 && key <= previous_key) {
+      return Status::InvalidArgument(
+          entry(i) + (key == previous_key ? ": duplicate key"
+                                          : ": key below the one before"));
+    }
+    previous_key = key;
     if (length < 2 || length > num_nodes) {
       return Status::InvalidArgument(
-          context + ": route length " + std::to_string(length) +
+          entry(i) + ": route length " + std::to_string(length) +
           " outside [2, " + std::to_string(num_nodes) + "]");
     }
     if (length > r.remaining() / 4) {
-      return Status::InvalidArgument(context + ": route overruns the blob");
+      return Status::InvalidArgument(entry(i) + ": route overruns the blob");
     }
-    std::vector<NodeId> route;
-    route.reserve(length);
+    route.clear();
     for (uint32_t j = 0; j < length; ++j) {
       uint32_t node = 0;
       TCF_CHECK(r.ReadU32(&node));
       if (node >= num_nodes) {
-        return Status::OutOfRange(context + ": node " + std::to_string(node) +
-                                  " out of range");
+        return Status::OutOfRange(entry(i) + ": node " +
+                                  std::to_string(node) + " out of range");
       }
       route.push_back(node);
     }
@@ -667,11 +680,14 @@ Status DecodeWitnessBlob(
     const NodeId key_dst = static_cast<NodeId>(key & 0xffffffffu);
     if (route.front() != key_src || route.back() != key_dst) {
       return Status::InvalidArgument(
-          context + ": route endpoints do not match its key");
+          entry(i) + ": route endpoints do not match its key");
     }
-    if (!witness->emplace(key, std::move(route)).second) {
-      return Status::InvalidArgument(context + ": duplicate key");
+    if (row == nullptr || key_src != row_src) {
+      row = std::make_shared<WitnessRow>();
+      row_src = key_src;
+      witness->emplace_hint(witness->end(), key_src, row);
     }
+    row->Append(route);
   }
   if (!r.exhausted()) {
     return Status::InvalidArgument("witness blob: trailing bytes");

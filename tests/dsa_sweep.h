@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <unordered_map>
 
 #include "dsa/query_api.h"
@@ -65,6 +67,20 @@ inline Fragmentation MakeFragmentation(const Graph& g, Fragmenter which,
   TCF_CHECK(false);
   CenterBasedOptions opts;
   return CenterBasedFragmentation(g, opts);
+}
+
+/// The cost of walking `route` in `g`, taking the cheapest parallel edge
+/// per hop; kInfinity when a hop is not an edge of `g`.
+inline Weight RouteCost(const Graph& g, std::span<const NodeId> route) {
+  Weight total = 0.0;
+  for (size_t i = 0; i + 1 < route.size(); ++i) {
+    Weight hop = kInfinity;
+    for (const OutEdge& e : g.OutEdges(route[i])) {
+      if (e.dst == route[i + 1]) hop = std::min(hop, e.weight);
+    }
+    total += hop;
+  }
+  return total;
 }
 
 /// Probes a deterministic set of node pairs (random plus every border node)

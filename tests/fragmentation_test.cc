@@ -157,6 +157,23 @@ TEST(Fragmentation, LocalGraphHoldsTheFragmentEdgesInLocalIds) {
   EXPECT_EQ(copy.LocalGraphsBuilt(), 0u);  // copies start cold
 }
 
+TEST(Fragmentation, RebindToAReweightedGraphKeepsTheStructure) {
+  SharedNodeFixture fx;
+  fx.frag->LocalGraphOf(0);
+  const Graph heavier = fx.graph.Reweighted(
+      std::vector<std::pair<EdgeId, Weight>>{{0, 5.0}});
+  const Fragmentation rebound(&heavier, *fx.frag);
+  EXPECT_EQ(&rebound.graph(), &heavier);
+  EXPECT_EQ(rebound.fragment_of_edge(), fx.frag->fragment_of_edge());
+  EXPECT_EQ(rebound.BorderNodes(1), fx.frag->BorderNodes(1));
+  ASSERT_EQ(rebound.disconnection_sets().size(), 1u);
+  EXPECT_EQ(rebound.disconnection_sets()[0].nodes, (std::vector<NodeId>{2}));
+  // Local graphs hold weights, so the copy builds its own from `heavier`.
+  EXPECT_EQ(rebound.LocalGraphsBuilt(), 0u);
+  const LocalGraph& local = rebound.LocalGraphOf(0);
+  EXPECT_EQ(local.forward.weights[local.forward.offsets[0]], 5.0);  // 0->1
+}
+
 TEST(Fragmentation, NodeGroupsForVisualization) {
   SharedNodeFixture fx;
   auto groups = fx.frag->NodeGroups();

@@ -122,6 +122,47 @@ TEST(Graph, IsSymmetricDetectsBothCases) {
   EXPECT_FALSE(b.Build().IsSymmetric());
 }
 
+TEST(Graph, ReweightedMatchesARebuild) {
+  // Parallel edges 1->2 (ids 2 and 6) make the slot lookup by edge id
+  // matter; id 0 is listed twice and the later weight wins.
+  GraphBuilder b(4);
+  b.AddSymmetricEdge(0, 1, 1.0);
+  b.AddSymmetricEdge(1, 2, 2.0);
+  b.AddSymmetricEdge(2, 3, 3.0);
+  b.AddEdge(1, 2, 4.0);
+  const Graph g = b.Build();
+  const std::vector<std::pair<EdgeId, Weight>> changes = {
+      {0, 9.0}, {6, 0.5}, {0, 7.0}, {5, 3.5}};
+  const Graph patched = g.Reweighted(changes);
+
+  std::vector<Edge> edges = g.edges();
+  for (const auto& [id, weight] : changes) edges[id].weight = weight;
+  GraphBuilder rb(4);
+  for (const Edge& e : edges) rb.AddEdge(e.src, e.dst, e.weight);
+  const Graph rebuilt = rb.Build();
+
+  EXPECT_EQ(patched.edges(), rebuilt.edges());
+  for (NodeId v = 0; v < 4; ++v) {
+    const auto out = patched.OutEdges(v);
+    const auto want_out = rebuilt.OutEdges(v);
+    ASSERT_EQ(out.size(), want_out.size());
+    for (size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out[i].id, want_out[i].id);
+      EXPECT_EQ(out[i].dst, want_out[i].dst);
+      EXPECT_EQ(out[i].weight, want_out[i].weight);
+    }
+    const auto in = patched.InEdges(v);
+    const auto want_in = rebuilt.InEdges(v);
+    ASSERT_EQ(in.size(), want_in.size());
+    for (size_t i = 0; i < in.size(); ++i) {
+      EXPECT_EQ(in[i].id, want_in[i].id);
+      EXPECT_EQ(in[i].src, want_in[i].src);
+      EXPECT_EQ(in[i].weight, want_in[i].weight);
+    }
+  }
+  EXPECT_EQ(g.edge(0).weight, 1.0);  // the original is untouched
+}
+
 // ---------------------------------------------------------------- BFS
 
 TEST(BfsHops, PathGraphDistances) {

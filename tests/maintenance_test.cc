@@ -5,8 +5,15 @@
 // complementary refreshes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <span>
+#include <utility>
+#include <vector>
+
 #include "dsa/batch.h"
 #include "dsa/maintenance.h"
+#include "dsa_sweep.h"
 #include "fragment/center_based.h"
 #include "graph/algorithms.h"
 #include "graph/builder.h"
@@ -14,6 +21,8 @@
 
 namespace tcf {
 namespace {
+
+using dsa_sweep::RouteCost;
 
 MaintainedDatabase MakeChainDb() {
   // 0-1-2 | 2-3-4 as two fragments sharing node 2.
@@ -39,6 +48,60 @@ void ExpectMatchesOracle(const MaintainedDatabase& mdb) {
         ASSERT_TRUE(answer.connected) << s << "->" << t;
         EXPECT_NEAR(answer.cost, expected, 1e-9) << s << "->" << t;
       }
+    }
+  }
+}
+
+/// Holds a snapshot's refreshed complementary info to a full recompute on
+/// its fragmentation: the same shortcut tuples, the same (source, target)
+/// witness keys, and every stored route a walk of the current graph whose
+/// cost is its shortcut's (routes may differ on ties).
+void ExpectComplementaryMatchesRecompute(const DsaSnapshot& snap) {
+  const ComplementaryInfo& got = snap.db->complementary();
+  const ComplementaryInfo want = PrecomputeComplementary(*snap.frag);
+  ASSERT_EQ(got.shortcuts.size(), want.shortcuts.size());
+  auto sorted_tuples = [](const Relation& rel) {
+    std::vector<PathTuple> tuples;
+    EXPECT_TRUE(
+        rel.ForEach([&](const PathTuple& t) { tuples.push_back(t); }).ok());
+    std::sort(tuples.begin(), tuples.end(),
+              [](const PathTuple& a, const PathTuple& b) {
+                return PairKey(a.src, a.dst) < PairKey(b.src, b.dst);
+              });
+    return tuples;
+  };
+  std::map<std::pair<NodeId, NodeId>, Weight> shortcut_cost;
+  for (size_t f = 0; f < want.shortcuts.size(); ++f) {
+    const std::vector<PathTuple> a = sorted_tuples(got.shortcuts[f]);
+    const std::vector<PathTuple> b = sorted_tuples(want.shortcuts[f]);
+    ASSERT_EQ(a.size(), b.size()) << "fragment " << f;
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].src, b[i].src) << "fragment " << f;
+      EXPECT_EQ(a[i].dst, b[i].dst) << "fragment " << f;
+      EXPECT_NEAR(a[i].cost, b[i].cost, 1e-9) << "fragment " << f;
+    }
+    for (const PathTuple& t : b) shortcut_cost[{t.src, t.dst}] = t.cost;
+  }
+
+  auto witness_keys = [](const ComplementaryInfo& info) {
+    std::vector<std::pair<NodeId, NodeId>> keys;
+    for (const auto& [x, row] : info.witness) {
+      for (NodeId y : row->targets) keys.emplace_back(x, y);
+    }
+    return keys;
+  };
+  EXPECT_EQ(witness_keys(got), witness_keys(want));
+  for (const auto& [x, row] : got.witness) {
+    for (size_t i = 0; i < row->size(); ++i) {
+      const NodeId y = row->targets[i];
+      const std::span<const NodeId> route = row->Route(i);
+      ASSERT_GE(route.size(), 2u);
+      EXPECT_EQ(route.front(), x);
+      EXPECT_EQ(route.back(), y);
+      const auto it = shortcut_cost.find({x, y});
+      ASSERT_NE(it, shortcut_cost.end()) << x << "->" << y;
+      EXPECT_NEAR(RouteCost(*snap.graph, route), it->second, 1e-9)
+          << x << "->" << y;
     }
   }
 }
@@ -298,6 +361,74 @@ TEST(MaintenanceEpoch, CarryOverIsBoundedByFragmentPairs) {
   ExpectMatchesOracle(mdb);
 }
 
+// F0={0,1} F1={0,2,3} F2={0,5 | 4,6} F3={3,4}, every edge both ways at
+// weight 1. The border nodes are 0 (F0, F1, F2), 3 (F1, F3) and 4 (F2, F3).
+// Node 0's co-borders are 3 (via F1) and 4 (via F2); its routes to both
+// run 0-2-3(-4) and never use the 0-5 edges.
+MaintainedDatabase MakeThreeFragmentBorderDb() {
+  GraphBuilder b(7);
+  b.AddSymmetricEdge(0, 1, 1.0);  // F0
+  b.AddSymmetricEdge(0, 2, 1.0);  // F1
+  b.AddSymmetricEdge(2, 3, 1.0);  // F1
+  b.AddSymmetricEdge(0, 5, 1.0);  // F2
+  b.AddSymmetricEdge(4, 6, 1.0);  // F2
+  b.AddSymmetricEdge(3, 4, 1.0);  // F3
+  return MaintainedDatabase(b.Build(), {0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3},
+                            4);
+}
+
+// A clean border node that leaves one of its three fragments stays a
+// border of the other two but loses the co-borders only the third gave
+// it: the row it carries over must drop their routes.
+TEST(MaintenanceEpoch, CleanSourceLeavingAFragmentDropsLostCoBorders) {
+  MaintainedDatabase mdb = MakeThreeFragmentBorderDb();
+  ASSERT_EQ(mdb.db().complementary().witness.at(0)->targets,
+            (std::vector<NodeId>{3, 4}));
+
+  // Deleting 0-5 takes node 0 out of F2 only. F2's border set changes, so
+  // its one remaining border (4) is searched again; F0's and F1's border
+  // sets hold, and no route from 0 or 3 used a deleted edge.
+  const EpochStats stats =
+      mdb.ApplyEpoch({EdgeUpdate::Delete(0, 5), EdgeUpdate::Delete(5, 0)});
+  ASSERT_TRUE(stats.published);
+  EXPECT_FALSE(stats.renumbered);
+  EXPECT_EQ(stats.dirty_border_nodes, 1u);
+  EXPECT_EQ(stats.reused_border_nodes, 2u);
+
+  const DsaSnapshot snap = mdb.Snapshot();
+  EXPECT_EQ(snap.frag->FragmentsOfNode(0), (std::vector<FragmentId>{0, 1}));
+  EXPECT_EQ(snap.db->complementary().witness.at(0)->targets,
+            (std::vector<NodeId>{3}));
+  ASSERT_NO_FATAL_FAILURE(ExpectComplementaryMatchesRecompute(snap));
+  ExpectMatchesOracle(mdb);
+}
+
+// A reweight epoch that dirties one source shares every clean source's
+// witness row with the previous snapshot: the same object, not a copy.
+TEST(MaintenanceEpoch, ReweightEpochSharesCleanSourcesRows) {
+  MaintainedDatabase mdb = MakeThreeFragmentBorderDb();
+  const DsaSnapshot before = mdb.Snapshot();
+
+  // Only node 4's routes (4-3 and 4-3-2-0) use the edge 4->3.
+  const EpochStats stats = mdb.ApplyEpoch({EdgeUpdate::Reweight(4, 3, 5.0)});
+  ASSERT_TRUE(stats.published);
+  EXPECT_EQ(stats.dirty_border_nodes, 1u);
+  EXPECT_EQ(stats.reused_border_nodes, 2u);
+
+  const DsaSnapshot after = mdb.Snapshot();
+  const WitnessMap& old_rows = before.db->complementary().witness;
+  const WitnessMap& new_rows = after.db->complementary().witness;
+  ASSERT_EQ(new_rows.size(), 3u);
+  EXPECT_EQ(new_rows.at(0), old_rows.at(0));
+  EXPECT_EQ(new_rows.at(3), old_rows.at(3));
+  EXPECT_NE(new_rows.at(4), old_rows.at(4));
+  EXPECT_EQ(after.frag->fragment_of_edge(), before.frag->fragment_of_edge());
+  EXPECT_EQ(&after.frag->graph(), after.graph.get());
+  ASSERT_NO_FATAL_FAILURE(ExpectComplementaryMatchesRecompute(after));
+  ExpectMatchesOracle(mdb);
+  EXPECT_NEAR(mdb.db().ShortestPath(4, 0).cost, 7.0, 1e-9);
+}
+
 // Property: a random update workload stays oracle-exact throughout.
 class MaintenanceSweep : public ::testing::TestWithParam<uint64_t> {};
 
@@ -328,11 +459,19 @@ TEST_P(MaintenanceSweep, RandomWorkloadStaysExact) {
       case 1:
         mdb.DeleteEdge(a, b);
         break;
-      default:
-        mdb.ReweightEdge(a, b, workload.NextDouble(0.1, 2.0));
+      default: {
+        // An existing edge picked by (a, b), so the reweight publishes an
+        // epoch (a random node pair rarely has an edge).
+        const Edge e = mdb.graph().edge(static_cast<EdgeId>(
+            (a * mdb.graph().NumNodes() + b) % mdb.graph().NumEdges()));
+        mdb.ReweightEdge(e.src, e.dst, workload.NextDouble(0.1, 2.0));
         break;
+      }
     }
-    // Spot-check a handful of pairs against the oracle after every step.
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectComplementaryMatchesRecompute(mdb.Snapshot()));
+    // Spot-check a handful of pairs against the oracle after every step,
+    // costs and routes.
     for (int probe = 0; probe < 5; ++probe) {
       const NodeId s =
           static_cast<NodeId>(workload.NextBounded(mdb.graph().NumNodes()));
@@ -341,11 +480,19 @@ TEST_P(MaintenanceSweep, RandomWorkloadStaysExact) {
       const Weight expected =
           s == t ? 0.0 : Dijkstra(mdb.graph(), s).distance[t];
       const QueryAnswer answer = mdb.db().ShortestPath(s, t);
+      const RouteAnswer route = mdb.db().ShortestRoute(s, t);
       if (expected == kInfinity) {
         EXPECT_FALSE(answer.connected);
+        EXPECT_FALSE(route.answer.connected);
       } else {
         ASSERT_TRUE(answer.connected);
         EXPECT_NEAR(answer.cost, expected, 1e-9);
+        ASSERT_TRUE(route.answer.connected) << s << "->" << t;
+        ASSERT_FALSE(route.route.empty());
+        EXPECT_EQ(route.route.front(), s);
+        EXPECT_EQ(route.route.back(), t);
+        EXPECT_NEAR(RouteCost(mdb.graph(), route.route), expected, 1e-9)
+            << s << "->" << t;
       }
     }
   }

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -432,6 +433,31 @@ TEST_F(DaemonTest, InvalidUpdateWeightFailsOnlyItsOwnRequest) {
   EXPECT_TRUE(client->Ping().ok());
   auto other = Connect();
   ExpectMatchesOracle(v, 0, other->ShortestPathCost(v, 0));
+}
+
+TEST_F(DaemonTest, OutOfRangeInsertTargetFailsOnlyItsOwnRequest) {
+  // An insert whose target names no fragment must come back as a
+  // request-scoped out-of-range error and publish no epoch; the daemon
+  // and the connection keep serving, and a valid update still applies.
+  auto client = Connect();
+  const auto first_bad = static_cast<FragmentId>(
+      stack_->mdb.Snapshot().frag->NumFragments());
+  for (const FragmentId target :
+       {first_bad, std::numeric_limits<FragmentId>::max()}) {
+    Result<uint64_t> epoch =
+        client->SubmitUpdate(EdgeUpdate::Insert(0, 1, 1.0, target)).get();
+    ASSERT_FALSE(epoch.ok()) << target;
+    EXPECT_EQ(epoch.status().code(), StatusCode::kOutOfRange);
+  }
+  EXPECT_EQ(stack_->mdb.epoch(), 0u);
+  ExpectMatchesOracle(0, 1, client->ShortestPathCost(0, 1));
+  EXPECT_TRUE(client->Ping().ok());
+
+  Result<uint64_t> applied =
+      client->SubmitUpdate(EdgeUpdate::Insert(0, 1, 1.0, FragmentId{0}))
+          .get();
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(applied.value(), 1u);
 }
 
 TEST_F(DaemonTest, ServerStopDrainsInFlightReplies) {

@@ -302,7 +302,7 @@ TEST_F(PagedRelationTest, EpochCopyOnWriteRebuildsDirtyFragmentsResident) {
     const DsaSnapshot snap = mdb.Snapshot();
     const auto& witness = snap.db->complementary().witness;
     ASSERT_FALSE(witness.empty());
-    const std::vector<NodeId>& route = witness.begin()->second;
+    const std::span<const NodeId> route = witness.begin()->second->Route(0);
     ASSERT_GE(route.size(), 2u);
     for (const Edge& e : snap.graph->edges()) {
       if (e.src == route[0] && e.dst == route[1]) {

@@ -19,6 +19,7 @@
 #include <optional>
 #include <thread>
 
+#include "dsa/maintenance.h"
 #include "dsa/service.h"
 #include "dsa/sites.h"
 #include "dsa/workload.h"
@@ -605,6 +606,38 @@ TEST(QueryService, InvalidQueriesFailTheirOwnFutureNotTheService) {
   EXPECT_EQ(stats.completed, stats.submitted);  // invalid never admitted
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.rejected, 0u);
+}
+
+TEST(QueryService, OutOfRangeInsertTargetFailsOnlyItsOwnUpdate) {
+  // An insert whose fragment override names no fragment passes
+  // SubmitUpdate's endpoint and weight checks. The applier must reject it
+  // against the current epoch's fragment count instead of aborting the
+  // process, publish nothing for it, and keep applying other updates.
+  Fixture fx(313);
+  MaintainedDatabase mdb = MaintainedDatabase::FromFragmentation(*fx.frag);
+  QueryService service(&mdb);
+  const uint64_t before = mdb.epoch();
+  const auto bad =
+      static_cast<FragmentId>(mdb.Snapshot().frag->NumFragments());
+
+  std::future<uint64_t> rejected =
+      service.SubmitUpdate(EdgeUpdate::Insert(0, 1, 1.0, bad));
+  EXPECT_THROW(rejected.get(), std::out_of_range);
+  EXPECT_EQ(mdb.epoch(), before);
+
+  // Submitted back to back, the two may share an epoch or not: either
+  // way only the valid insert applies, in exactly one epoch.
+  std::future<uint64_t> rejected_again =
+      service.SubmitUpdate(EdgeUpdate::Insert(0, 1, 1.0, FragmentId{99}));
+  std::future<uint64_t> applied =
+      service.SubmitUpdate(EdgeUpdate::Insert(0, 1, 0.5, FragmentId{0}));
+  EXPECT_THROW(rejected_again.get(), std::out_of_range);
+  EXPECT_EQ(applied.get(), before + 1);
+  EXPECT_EQ(mdb.epoch(), before + 1);
+  EXPECT_EQ(mdb.graph().NumEdges(), fx.graph.NumEdges() + 1);
+  service.Shutdown();
+  EXPECT_EQ(service.Stats().updates, 1u);
+  EXPECT_EQ(service.Stats().update_epochs, 1u);
 }
 
 TEST(QueryService, LatencySampleCapBoundsStoredSamples) {

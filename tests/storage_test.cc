@@ -7,13 +7,15 @@
 //     page sizes; maintained databases resume updates at the stored
 //     epoch + 1.
 //   - hostility: truncation at every page boundary, single-bit flips
-//     across the whole file, magic/version/page-size mismatches and lying
-//     superblock fields are all rejected with a descriptive Status — never
-//     a crash (this suite runs in the ASan/UBSan legs).
+//     across the whole file, magic/version/page-size mismatches, lying
+//     superblock fields and lying witness routes behind resealed pages are
+//     all rejected with a descriptive Status — never a crash (this suite
+//     runs in the ASan/UBSan legs).
 #include "storage/database_io.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -62,10 +64,12 @@ class StorageTest : public ::testing::Test {
     std::fclose(f);
   }
 
-  /// Restamp page 0's checksum after tampering with its contents, so the
+  /// Restamp a page's checksum after tampering with its contents, so the
   /// tampered field — not the checksum sweep — is what the open rejects.
-  static void ResealPage0(std::vector<uint8_t>* file, size_t page_size) {
-    StoreU32(file->data(), Crc32c(file->data() + 4, page_size - 4));
+  static void ResealPage(std::vector<uint8_t>* file, size_t page_size,
+                         size_t page_index) {
+    uint8_t* page = file->data() + page_index * page_size;
+    StoreU32(page, Crc32c(page + 4, page_size - 4));
   }
 
   /// Expect both open modes to reject the current file, without crashing.
@@ -200,6 +204,30 @@ TEST_F(StorageTest, PageSizeVariants) {
             StatusCode::kInvalidArgument);
 }
 
+/// Routes for sampled pairs of `mdb`'s current epoch must be walks of its
+/// graph with the Dijkstra oracle's cost.
+void ExpectRoutesMatchOracle(const MaintainedDatabase& mdb, uint64_t seed) {
+  const Graph& g = mdb.graph();
+  Rng rng(seed);
+  for (int i = 0; i < 12; ++i) {
+    const auto s = static_cast<NodeId>(rng.NextBounded(g.NumNodes()));
+    const auto u = static_cast<NodeId>(rng.NextBounded(g.NumNodes()));
+    const Weight expected = s == u ? 0.0 : Dijkstra(g, s).distance[u];
+    const RouteAnswer got = mdb.db().ShortestRoute(s, u);
+    ASSERT_TRUE(got.answer.status.ok()) << got.answer.status.ToString();
+    if (expected == kInfinity) {
+      EXPECT_FALSE(got.answer.connected) << s << "->" << u;
+      continue;
+    }
+    ASSERT_TRUE(got.answer.connected) << s << "->" << u;
+    ASSERT_FALSE(got.route.empty()) << s << "->" << u;
+    EXPECT_EQ(got.route.front(), s);
+    EXPECT_EQ(got.route.back(), u);
+    EXPECT_NEAR(dsa_sweep::RouteCost(g, got.route), expected, 1e-9)
+        << s << "->" << u;
+  }
+}
+
 TEST_F(StorageTest, MaintainedDatabaseResumesEpochs) {
   const auto t = MakeTransport(29, 4, 12);
   const Fragmentation frag =
@@ -219,6 +247,7 @@ TEST_F(StorageTest, MaintainedDatabaseResumesEpochs) {
   MaintainedDatabase& mdb = *reopened.value();
   EXPECT_EQ(mdb.epoch(), saved_epoch);
   EXPECT_EQ(mdb.graph().NumEdges(), original.graph().NumEdges());
+  ExpectRoutesMatchOracle(mdb, 11);
 
   // Updates continue from the stored epoch, not from zero.
   const Edge e1 = mdb.graph().edges()[1];
@@ -240,6 +269,9 @@ TEST_F(StorageTest, MaintainedDatabaseResumesEpochs) {
       EXPECT_NEAR(answer.cost, oracle.distance[u], 1e-9) << s << "->" << u;
     }
   }
+  // Routes, expanded through witnesses carried over from the file, must
+  // still be walks of the live graph with the oracle's cost.
+  ExpectRoutesMatchOracle(mdb, 13);
 }
 
 TEST_F(StorageTest, ComplementaryAblationGatesReopen) {
@@ -353,23 +385,106 @@ TEST_F(HostileStorageTest, ResealedLiesAreStillRejected) {
   // Superblock page_count (file offset 40): claim one page fewer.
   std::vector<uint8_t> tampered = original;
   StoreU64(tampered.data() + 40, original.size() / kPageSize - 1);
-  ResealPage0(&tampered, kPageSize);
+  ResealPage(&tampered, kPageSize, 0);
   WriteFileBytes(tampered);
   ExpectOpenFails(StatusCode::kInvalidArgument);
 
   // Graph extent byte_len (file offset 24 + 80 + 8): absurdly large.
   tampered = original;
   StoreU64(tampered.data() + 24 + 80 + 8, uint64_t{1} << 60);
-  ResealPage0(&tampered, kPageSize);
+  ResealPage(&tampered, kPageSize, 0);
   WriteFileBytes(tampered);
   ExpectOpenFails(StatusCode::kInvalidArgument);
 
   // Epoch field is not semantically checkable, but flag bytes are.
   tampered = original;
   tampered[24 + 56] = 7;  // has_coords must be 0 or 1
-  ResealPage0(&tampered, kPageSize);
+  ResealPage(&tampered, kPageSize, 0);
   WriteFileBytes(tampered);
   ExpectOpenFails(StatusCode::kInvalidArgument);
+}
+
+// The witness blob passes checksums once its pages are resealed, so only
+// the decoder's own rules stand between a lying blob and the routes.
+TEST_F(HostileStorageTest, ResealedWitnessLiesAreRejected) {
+  SaveSmallDb();
+  const std::vector<uint8_t> original = ReadFileBytes();
+  const uint64_t num_nodes = LoadU64(original.data() + 24 + 24);
+  // The superblock's witness extent (payload offset 128).
+  const uint64_t first_page = LoadU64(original.data() + 24 + 128);
+  const uint64_t byte_len = LoadU64(original.data() + 24 + 136);
+  constexpr size_t kPayload = kPageSize - kPageHeaderSize;
+  auto file_offset = [&](size_t blob_offset) {
+    return (first_page + blob_offset / kPayload) * kPageSize +
+           kPageHeaderSize + blob_offset % kPayload;
+  };
+  std::vector<uint8_t> blob(byte_len);
+  for (size_t i = 0; i < blob.size(); ++i) blob[i] = original[file_offset(i)];
+
+  // Entry offsets: u64 count, then { u64 key, u32 len, len x u32 node }.
+  const uint64_t count = LoadU64(blob.data());
+  std::vector<size_t> entry = {8};
+  for (uint64_t i = 0; i < count; ++i) {
+    entry.push_back(entry.back() + 12 + 4 * LoadU32(blob.data() +
+                                                     entry.back() + 8));
+  }
+  ASSERT_EQ(entry.back(), blob.size());
+  // Two adjacent entries with routes of the same length can be swapped or
+  // duplicated without breaking anything but the key order.
+  size_t pair = count;
+  for (size_t i = 0; i + 1 < count; ++i) {
+    if (entry[i + 1] - entry[i] == entry[i + 2] - entry[i + 1]) {
+      pair = i;
+      break;
+    }
+  }
+  ASSERT_LT(pair, count) << "no two adjacent routes of one length";
+
+  auto expect_rejected = [&](const std::vector<uint8_t>& tampered_blob,
+                             StatusCode code, const char* what) {
+    SCOPED_TRACE(what);
+    std::vector<uint8_t> tampered = original;
+    for (size_t i = 0; i < tampered_blob.size(); ++i) {
+      tampered[file_offset(i)] = tampered_blob[i];
+    }
+    const size_t pages = (tampered_blob.size() + kPayload - 1) / kPayload;
+    for (size_t p = 0; p < pages; ++p) {
+      ResealPage(&tampered, kPageSize, first_page + p);
+    }
+    WriteFileBytes(tampered);
+    ExpectOpenFails(code);
+  };
+  const size_t a = entry[pair];
+  const size_t b = entry[pair + 1];
+  const size_t len = b - a;
+  const uint32_t first_len = LoadU32(blob.data() + 8 + 8);
+  const size_t first_last_node = 8 + 12 + 4 * (first_len - 1);
+
+  std::vector<uint8_t> t = blob;
+  std::copy_n(blob.begin() + a, len, t.begin() + b);
+  expect_rejected(t, StatusCode::kInvalidArgument, "duplicate key");
+
+  t = blob;
+  std::copy_n(blob.begin() + b, len, t.begin() + a);
+  std::copy_n(blob.begin() + a, len, t.begin() + b);
+  expect_rejected(t, StatusCode::kInvalidArgument, "decreasing key");
+
+  t = blob;
+  StoreU32(t.data() + first_last_node,
+           static_cast<uint32_t>((LoadU32(blob.data() + first_last_node) +
+                                  1) % num_nodes));
+  expect_rejected(t, StatusCode::kInvalidArgument, "route ends off its key");
+
+  t = blob;
+  StoreU32(t.data() + first_last_node, static_cast<uint32_t>(num_nodes));
+  expect_rejected(t, StatusCode::kOutOfRange, "node out of range");
+
+  t = blob;
+  StoreU32(t.data() + 8 + 8, 1);
+  expect_rejected(t, StatusCode::kInvalidArgument, "route length below 2");
+
+  WriteFileBytes(original);
+  EXPECT_TRUE(OpenDatabase(path_).ok());
 }
 
 TEST_F(HostileStorageTest, MissingEmptyAndGarbageFiles) {
