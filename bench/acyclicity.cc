@@ -1,7 +1,8 @@
 // Reproduces the loose-connectivity discussion (Sec. 2.1/2.2 third issue,
 // Fig. 2): how often each algorithm produces an acyclic fragmentation
-// graph, on both graph families, and what cyclicity costs at query time
-// (number of chains that must be considered).
+// graph, on both graph families, and how many chains of fragments join a
+// fragment pair — the chains a query would have to consider one by one
+// (FindChains, as a fragmentation-graph metric).
 #include <cstdio>
 #include <functional>
 
@@ -68,7 +69,9 @@ int main() {
             3);
   std::printf("reading: linear fragmentation is acyclic by construction "
               "(exactly one chain\nper query pair); the others may produce "
-              "cycles, which multiply the chains the\nDSA must consider — "
-              "the cost Parallel Hierarchical Evaluation avoids.\n");
+              "cycles, which multiply the chains\nbetween fragment pairs. "
+              "The DSA does not enumerate them: one search over the\nborder "
+              "overlay covers every chain, as Parallel Hierarchical "
+              "Evaluation's\nhigh-speed network does.\n");
   return 0;
 }

@@ -5,15 +5,14 @@
 // each WorkloadSpec mix; the sequential rate (seq_qps) is the gated
 // single-query series. Reports queries/sec for both paths, the batch
 // speed-up, the planning-phase time, the cross-query subquery
-// deduplication savings, the chain-plan (skeleton) cache hit rate, and the
-// share of queries whose (from, to) pair repeats an earlier one ("plan
-// skips") — the sharing effects that make batching pay, especially on the
-// hot-pair mix.
+// deduplication savings, and the share of queries whose (from, to) pair
+// repeats an earlier one ("plan skips") — the sharing effects that make
+// batching pay, especially on the hot-pair mix.
 //
 // A second section sweeps the coordinator thread count on a large uniform
-// batch: planning runs on the database pool (pairs in ranges, then one
-// dedup task per fragment), so the planning phase should not grow with
-// threads (and end-to-end throughput must not regress).
+// batch: planning runs on the database pool (pairs in ranges), so the
+// planning phase should not grow with threads (and end-to-end throughput
+// must not regress).
 // `batch_throughput [N]` sets the sweep's batch size (default 10000).
 #include <cstdio>
 #include <cstdlib>
@@ -34,7 +33,7 @@ void RunFamily(const char* family, const char* family_key, const Graph& g,
       "%s: %zu nodes, %zu edges, %zu fragments, %zu queries per mix\n",
       family, g.NumNodes(), g.NumEdges(), frag.NumFragments(), num_queries);
   TablePrinter table({"Mix", "seq q/s", "batch q/s", "speedup", "plan ms",
-                      "dedup", "skel hits", "plan skips"});
+                      "dedup", "plan skips"});
 
   for (WorkloadMix mix :
        {WorkloadMix::kUniform, WorkloadMix::kHotPair,
@@ -45,8 +44,8 @@ void RunFamily(const char* family, const char* family_key, const Graph& g,
     Rng rng(41);
     const std::vector<Query> queries = GenerateWorkload(frag, spec, &rng);
 
-    // Fresh databases so one mix's plan cache cannot help another, and the
-    // sequential loop cannot warm the batch run.
+    // Fresh databases, so the sequential loop cannot warm the batch run's
+    // local graphs.
     DsaDatabase seq_db(&frag);
     WallTimer seq_timer;
     for (const Query& q : queries) seq_db.ShortestPath(q.from, q.to);
@@ -68,7 +67,6 @@ void RunFamily(const char* family, const char* family_key, const Graph& g,
          TablePrinter::Fmt(speedup, 2) + "x",
          TablePrinter::Fmt(result.stats.plan_seconds * 1e3, 2),
          TablePrinter::Fmt(100.0 * result.stats.DedupSavings(), 1) + "%",
-         TablePrinter::Fmt(100.0 * result.stats.PlanCacheHitRate(), 1) + "%",
          TablePrinter::Fmt(100.0 * result.stats.PlanMemoHitRate(), 1) +
              "%"});
     const std::string prefix =
@@ -85,14 +83,14 @@ void RunFamily(const char* family, const char* family_key, const Graph& g,
 
 /// Coordinator scaling: the same uniform batch planned and executed with
 /// 1, 2, 4, 8 pool threads. Each thread count runs the batch twice and
-/// reports the second (warm skeleton cache) run, so the sweep isolates the
+/// reports the second (warm local graphs) run, so the sweep isolates the
 /// steady-state planning path. `plan speedup` is vs. the 1-thread row —
 /// the acceptance bar for the parallel planner.
 void RunCoordinatorScaling(const Graph& g, Fragmentation frag,
                            size_t num_queries, JsonMetrics* metrics) {
   std::printf(
       "coordinator scaling: uniform mix, %zu queries, %zu nodes, "
-      "%zu fragments (second run per row; warm skeleton cache)\n",
+      "%zu fragments (second run per row)\n",
       num_queries, g.NumNodes(), frag.NumFragments());
   TablePrinter table({"threads", "plan ms", "plan speedup", "phase1 ms",
                       "assemble ms", "batch q/s"});
@@ -110,7 +108,7 @@ void RunCoordinatorScaling(const Graph& g, Fragmentation frag,
     Rng rng(91);
     const std::vector<Query> queries = GenerateWorkload(frag, spec, &rng);
 
-    executor.Execute(queries);  // cold run warms the skeleton cache
+    executor.Execute(queries);  // cold run builds the local graphs
     const BatchResult result = executor.Execute(queries);
 
     if (threads == 1) base_plan_seconds = result.stats.plan_seconds;

@@ -1,9 +1,9 @@
 // Serving many queries at once: generate a transportation network, build a
 // DsaDatabase, and answer a skewed 500-query workload in one
 // BatchExecutor::Execute call. The batch layer shares work twice over —
-// chain plans through the LRU plan cache and keyhole subqueries through
-// cross-query deduplication — so a hot-pair workload runs far fewer site
-// computations than it has queries.
+// a repeated (from, to) pair is planned once, and keyhole subqueries and
+// border rows are deduplicated across queries — so a hot-pair workload
+// runs far fewer site computations than it has queries.
 #include <cstdio>
 
 #include "dsa/batch.h"
@@ -46,9 +46,6 @@ int main() {
   std::printf("  subqueries: %zu requested -> %zu executed (%.1f%% shared)\n",
               s.subqueries_requested, s.subqueries_executed,
               100.0 * s.DedupSavings());
-  std::printf("  plan cache: %.1f%% hit rate over %zu lookups\n",
-              100.0 * s.PlanCacheHitRate(),
-              s.plan_cache_hits + s.plan_cache_misses);
   std::printf("  throughput: %.0f queries/sec\n", s.QueriesPerSecond());
 
   // Single queries and batches share one database; mixing them is safe.

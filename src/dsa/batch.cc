@@ -34,16 +34,14 @@ BatchResult BatchExecutor::Execute(const std::vector<Query>& queries) const {
     endpoints.emplace_back(q.from, q.to);
   }
   ParallelPlanResult planned = PlanBatchInParallel(
-      frag, endpoints, options.max_chains, db_->plan_cache_.get(), pool);
+      frag, endpoints, options.max_chains, nullptr, pool);
   const std::vector<LocalQuerySpec>& flat_specs = planned.flat.specs;
 
-  result.stats.plan_cache_hits = planned.cache_hits;
-  result.stats.plan_cache_misses = planned.cache_misses;
   for (const QueryPlan* plan : planned.plans) {
     if (plan == nullptr) continue;  // trivial query
-    for (const std::vector<size_t>& hops : plan->chain_specs) {
-      result.stats.subqueries_requested += hops.size();
-    }
+    result.stats.subqueries_requested +=
+        (plan->from_hop != QueryPlan::kNoSpec) +
+        (plan->to_hop != QueryPlan::kNoSpec) + plan->rows.size();
   }
   result.stats.plan_memo_hits = planned.memo_hits;
   result.stats.plan_memo_misses = planned.distinct.size();
@@ -61,8 +59,8 @@ BatchResult BatchExecutor::Execute(const std::vector<Query>& queries) const {
   result.stats.phase1_seconds = phase1_timer.ElapsedSeconds();
 
   // Assemble every query in parallel. Assembly only *reads* the shared
-  // site results (the chain joins and the route dynamic program work on
-  // copies), so queries are independent again; each fills its own answer
+  // site results (each search works in per-thread scratch), so queries
+  // are independent again; each fills its own answer
   // slot and report. A query assembles in microseconds, so tasks take
   // contiguous ranges of queries, as planning does.
   WallTimer assemble_timer;

@@ -1,17 +1,17 @@
 // Batched query execution over a DsaDatabase. The paper's phase-1 property
-// — per-fragment subqueries are fully independent — holds across *queries*
-// as well as across chains, so a batch of queries is executed as one big
-// fan-out:
+// — per-fragment subqueries are fully independent — holds across
+// *queries* too, so a batch of queries is executed as one big fan-out:
 //
 //   1. plan the batch (PlanBatchInParallel, dsa/executor.h): its (from, to)
 //      pairs are sorted and deduplicated, so each distinct pair is planned
 //      once — repeats, the whole point of hot-pair traffic, share its plan
-//      — by stamping its endpoints into the cached chain skeletons of its
-//      endpoint-fragment pairs (see dsa/chains.h),
-//   2. deduplicate the planned hops fragment by fragment, as the paper's
-//      sites would: queries that hit the same (fragment, source-DS,
-//      target-DS) selection share a single site computation, and the flat
-//      spec vector comes out grouped by fragment,
+//      — into at most two keyhole hops and the border rows its overlay
+//      search may relax,
+//   2. deduplicate the hops and rows fragment by fragment, as the paper's
+//      sites would: queries that need the same (fragment, selection)
+//      share a single site computation, every query crossing a fragment
+//      shares its one rows subquery, and the flat spec vector comes out
+//      grouped by fragment,
 //   3. run the deduplicated subqueries on the database's pool in one
 //      RunSites call, grouped by fragment so that a task streams its
 //      fragment's shortcut relation once (no per-query pools, no per-query
@@ -47,18 +47,15 @@ struct Query {
   QueryKind kind = QueryKind::kCost;
 };
 
-/// Batch-level accounting: how much work sharing saved and how the plan
-/// cache performed for this batch.
+/// Batch-level accounting: how much work sharing saved.
 struct BatchStats {
   size_t num_queries = 0;
-  /// Chain-hop subquery requests before cross-query deduplication (every
-  /// hop of every chain of every query).
+  /// Subquery requests before cross-query deduplication: the specs (hops
+  /// and rows) that each non-trivial query's plan reads.
   size_t subqueries_requested = 0;
   /// Distinct subqueries actually executed (the flat spec vector's size).
   size_t subqueries_executed = 0;
-  /// Skeleton-cache (ChainPlanCache) hits/misses for this batch's
-  /// fragment-pair lookups. Each distinct (from, to) pair is planned once,
-  /// so these count per *distinct* pair, not per query.
+  /// Kept only for perfbench: always 0.
   size_t plan_cache_hits = 0;
   size_t plan_cache_misses = 0;
   /// Pair reuse inside this batch: a hit is a non-trivial query whose
@@ -83,11 +80,6 @@ struct BatchStats {
                ? 0.0
                : 1.0 - static_cast<double>(subqueries_executed) /
                            static_cast<double>(subqueries_requested);
-  }
-  double PlanCacheHitRate() const {
-    const size_t lookups = plan_cache_hits + plan_cache_misses;
-    return lookups == 0 ? 0.0
-                        : static_cast<double>(plan_cache_hits) / lookups;
   }
   /// Fraction of non-trivial queries that skipped planning because their
   /// (from, to) pair repeats another query's (≈1 on hot-pair workloads).
@@ -121,7 +113,7 @@ class BatchExecutor {
   explicit BatchExecutor(const DsaDatabase* db);
 
   /// Runs the whole batch and returns answers in query order. Thread-safe;
-  /// concurrent Execute() calls share the database's pool and plan cache.
+  /// concurrent Execute() calls share the database's pool.
   BatchResult Execute(const std::vector<Query>& queries) const;
 
   const DsaDatabase& database() const { return *db_; }

@@ -1,6 +1,6 @@
 #include "dsa/bottleneck.h"
 
-#include <algorithm>
+#include <span>
 #include <unordered_map>
 
 #include "dsa/local_query.h"
@@ -39,10 +39,7 @@ ComplementaryInfo PrecomputeCapacityComplementary(const Fragmentation& frag) {
   return info;
 }
 
-BottleneckDsa::BottleneckDsa(const Fragmentation* frag, size_t max_chains)
-    : frag_(frag),
-      max_chains_(max_chains),
-      plan_cache_(std::make_unique<ChainPlanCache>()) {
+BottleneckDsa::BottleneckDsa(const Fragmentation* frag) : frag_(frag) {
   TCF_CHECK(frag != nullptr);
   complementary_ = PrecomputeCapacityComplementary(*frag_);
 }
@@ -58,14 +55,10 @@ Relation BottleneckDsa::LocalWidest(const LocalQuerySpec& spec) const {
   for (NodeId s : spec.sources) {
     WidestPaths wp = WidestPathsFrom(augmented, s);
     for (NodeId t : spec.targets) {
-      if (t == s) {
-        out.Add(s, t, kInfinity);  // passing through costs no capacity
-      } else if (wp.capacity[t] > 0.0) {
-        out.Add(s, t, wp.capacity[t]);
-      }
+      if (t != s && wp.capacity[t] > 0.0) out.Add(s, t, wp.capacity[t]);
     }
   }
-  out.AggregateMax();
+  out.SortCanonical();
   return out;
 }
 
@@ -79,37 +72,36 @@ BottleneckAnswer BottleneckDsa::WidestPath(NodeId from, NodeId to,
     answer.capacity = kInfinity;
     return answer;
   }
-  // The shortest-path planner, as a batch of one: its chains and keyhole
-  // selections depend only on the fragmentation, so they serve any path
-  // problem — and a hop shared by several chains runs once.
-  const ParallelPlanResult planned = PlanBatchInParallel(
-      *frag_, {{from, to}}, max_chains_, plan_cache_.get(), nullptr);
+  // The shortest-path planner, as a batch of one: its hops and rows depend
+  // only on the fragmentation, so they serve any path problem.
+  const ParallelPlanResult planned =
+      PlanBatchInParallel(*frag_, {{from, to}}, 0, nullptr, nullptr);
   const QueryPlan& plan = *planned.plans.front();
   const std::vector<LocalQuerySpec>& specs = planned.flat.specs;
-  answer.chains_considered = plan.chains.size();
 
-  std::vector<Relation> local;
-  local.reserve(specs.size());
-  for (const LocalQuerySpec& spec : specs) {
-    local.push_back(LocalWidest(spec));
-    if (report != nullptr) {
+  // The rows are the resident capacity shortcut relations, sorted by
+  // PrecomputeCapacityComplementary; only the hops search.
+  std::vector<Relation> hops(specs.size());
+  std::vector<std::span<const PathTuple>> tuples(specs.size());
+  for (size_t idx : plan.rows) {
+    tuples[idx] = complementary_.shortcuts[specs[idx].fragment].tuples();
+  }
+  for (size_t idx : {plan.from_hop, plan.to_hop}) {
+    if (idx == QueryPlan::kNoSpec) continue;
+    hops[idx] = LocalWidest(specs[idx]);
+    tuples[idx] = hops[idx].tuples();
+  }
+  if (report != nullptr) {
+    for (size_t i = 0; i < specs.size(); ++i) {
       SiteReport site;
-      site.fragment = spec.fragment;
-      site.result_tuples = local.back().size();
+      site.fragment = specs[i].fragment;
+      site.result_tuples = tuples[i].size();
       report->sites.push_back(site);
-      report->communication_tuples += local.back().size();
+      report->communication_tuples += tuples[i].size();
     }
   }
-
-  // Max-min fold: a chain carries its narrowest hop's capacity, and the
-  // answer is the widest chain.
-  for (const std::vector<size_t>& hops : plan.chain_specs) {
-    Relation acc = local[hops.front()];
-    for (size_t i = 1; i < hops.size(); ++i) {
-      acc = JoinMaxMin(acc, local[hops[i]]);
-    }
-    answer.capacity = std::max(answer.capacity, acc.MaxCost(from, to));
-  }
+  answer.capacity = AssembleWidestCapacity(*frag_, plan, specs, from, to,
+                                           tuples, report);
   answer.connected = answer.capacity > 0.0;
   return answer;
 }

@@ -3,16 +3,15 @@
 // can travel from A to B?". Sec. 2.1: "these properties depend on the
 // particular path problem considered" and "Complementary information is
 // different for each type of path problem" — here it is the globally
-// *widest* capacity between any two border nodes of a fragment, and the
-// final assembly combines per-fragment answers with max-min joins instead
-// of min-plus ones.
+// *widest* capacity between any two border nodes of a fragment. A query
+// runs the shortest-path planner's keyhole hops inside the
+// capacity-augmented fragments and the same border-overlay search as
+// shortest paths, over the max-min semiring instead of min-plus; the
+// overlay's rows are the resident capacity shortcut relations.
 //
 // Edge weights are interpreted as capacities and must be > 0.
 #pragma once
 
-#include <memory>
-
-#include "dsa/chains.h"
 #include "dsa/complementary.h"
 #include "dsa/executor.h"
 
@@ -22,14 +21,13 @@ struct BottleneckAnswer {
   bool connected = false;
   /// Max over paths of the min edge capacity; kInfinity when from == to.
   Weight capacity = 0.0;
-  size_t chains_considered = 0;
 };
 
 /// Bottleneck-path database over a fragmentation. Precomputes capacity
 /// complementary information on construction; `frag` must outlive it.
 class BottleneckDsa {
  public:
-  explicit BottleneckDsa(const Fragmentation* frag, size_t max_chains = 64);
+  explicit BottleneckDsa(const Fragmentation* frag);
 
   const ComplementaryInfo& complementary() const { return complementary_; }
 
@@ -37,17 +35,12 @@ class BottleneckDsa {
                               ExecutionReport* report = nullptr) const;
 
  private:
-  /// Widest capacities from every source to every target of `spec`
-  /// inside the capacity-augmented fragment.
+  /// Widest capacities from every source to every target of a hop spec
+  /// inside the capacity-augmented fragment, sorted by (src, dst).
   Relation LocalWidest(const LocalQuerySpec& spec) const;
 
   const Fragmentation* frag_;
-  size_t max_chains_;
   ComplementaryInfo complementary_;  // shortcut costs = capacities
-  /// Chain plans are fragmentation metadata, not capacities, so widest
-  /// paths plan through the same cache type as shortest paths (its own
-  /// instance; internally synchronized, so WidestPath stays const).
-  std::unique_ptr<ChainPlanCache> plan_cache_;
 };
 
 /// Builds the capacity complementary information: for every fragment, the

@@ -50,7 +50,10 @@ using WitnessMap = std::map<NodeId, std::shared_ptr<const WitnessRow>>;
 /// Precomputed shortcut relations, one per fragment.
 struct ComplementaryInfo {
   /// shortcuts[f]: tuples (x, y, d*(x, y)) for border nodes x != y of
-  /// fragment f with finite global shortest distance.
+  /// fragment f with finite global shortest distance, sorted by (x, y)
+  /// with no pair repeated. Every builder sorts, the file reader rejects
+  /// any other order, and the overlay search binary-searches the rows by
+  /// x (dsa/executor.h).
   std::vector<Relation> shortcuts;
 
   /// Witness routes for the shortcut tuples, one immutable row per source

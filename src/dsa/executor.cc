@@ -1,11 +1,9 @@
 #include "dsa/executor.h"
 
 #include <algorithm>
-#include <compare>
-#include <iterator>
-#include <memory>
 #include <span>
 #include <string>
+#include <tuple>
 
 #include "graph/algorithms.h"
 #include "util/timer.h"
@@ -35,119 +33,142 @@ void ExecutionReport::Merge(const ExecutionReport& other) {
 
 namespace {
 
-// A batch with fewer chains than this is planned on the calling thread:
-// its chains take less time to stamp and deduplicate than a round trip
-// through a pool that phase-1 tasks of concurrent batches also queue on.
-constexpr size_t kPoolPlanChains = 512;
+// A batch with fewer distinct pairs than this is planned on the calling
+// thread: its pairs take less time to plan than a round trip through a
+// pool that phase-1 tasks of concurrent batches also queue on.
+constexpr size_t kPoolPlanPairs = 256;
 
-// A distinct pair's skeletons, one per pair of its endpoints' fragments,
-// held until the batch's hops are deduplicated because a concurrent batch
-// may evict them from the cache meanwhile; and the hop templates its
-// chains were stamped from: `templates[c][h]` is hop h of chain c.
-struct PairSkeletons {
-  std::vector<std::shared_ptr<const PlanSkeleton>> skeletons;
-  std::vector<const HopTemplate*> templates;
+// The component of every fragment in the fragmentation graph, numbered
+// from 0 in fragment order.
+std::vector<uint32_t> FragmentComponents(const Fragmentation& frag) {
+  constexpr uint32_t kNone = static_cast<uint32_t>(-1);
+  std::vector<uint32_t> component(frag.NumFragments(), kNone);
+  std::vector<FragmentId> stack;
+  uint32_t next = 0;
+  for (FragmentId root = 0; root < frag.NumFragments(); ++root) {
+    if (component[root] != kNone) continue;
+    component[root] = next;
+    stack.push_back(root);
+    while (!stack.empty()) {
+      const FragmentId f = stack.back();
+      stack.pop_back();
+      for (FragmentId g : frag.FragmentNeighbors(f)) {
+        if (component[g] == kNone) {
+          component[g] = next;
+          stack.push_back(g);
+        }
+      }
+    }
+    ++next;
+  }
+  return component;
+}
+
+// Per-thread scratch of RowFragments, grown to the fragment count.
+struct PruneScratch {
+  enum : uint8_t { kOut, kIn, kTerminal };
+  std::vector<uint8_t> state;
+  std::vector<uint32_t> degree;
+  std::vector<FragmentId> leaves;
 };
 
-// Stamps a pair's chains into `plan`, leaving the spec indices for the
-// per-fragment dedup. A border node lives in several fragments and every
-// one of them is a valid chain endpoint, so each endpoint-fragment pair
-// contributes its chains. A chain begins in its pair's first fragment and
-// ends in its second, so chains of different pairs never coincide and no
-// chain is taken twice.
-void StampChains(PairSkeletons& pair, QueryPlan* plan) {
-  for (const std::shared_ptr<const PlanSkeleton>& skeleton : pair.skeletons) {
-    for (size_t c = 0; c < skeleton->chains.size(); ++c) {
-      plan->chains.push_back(skeleton->chains[c]);
-      plan->chain_specs.emplace_back(skeleton->chains[c].size());
-      pair.templates.push_back(skeleton->hops[c].data());
+// Fills `rows` with the fragments whose rows an overlay search from
+// `from` to `to` reads, ascending: the endpoints' component after
+// repeatedly removing every fragment with at most one neighbour that holds
+// no endpoint, less an interior endpoint's fragment and fragments without
+// border nodes (see PlanBatchInParallel).
+void RowFragments(const Fragmentation& frag,
+                  const std::vector<uint32_t>& component, NodeId from,
+                  NodeId to, std::vector<size_t>* rows) {
+  thread_local PruneScratch s;
+  const size_t n = frag.NumFragments();
+  s.state.assign(n, PruneScratch::kOut);
+  s.degree.resize(n);
+  s.leaves.clear();
+  const uint32_t c = component[frag.FragmentsOfNode(from).front()];
+  for (FragmentId f = 0; f < n; ++f) {
+    if (component[f] != c) continue;
+    s.state[f] = PruneScratch::kIn;
+    s.degree[f] = static_cast<uint32_t>(frag.FragmentNeighbors(f).size());
+  }
+  for (NodeId v : {from, to}) {
+    for (FragmentId f : frag.FragmentsOfNode(v)) {
+      s.state[f] = PruneScratch::kTerminal;
     }
   }
-}
-
-// Tags a side key as a query endpoint rather than a neighbouring fragment.
-constexpr uint64_t kEndpointKey = uint64_t{1} << 32;
-
-// A planned hop awaiting its spec index: its template, the query
-// endpoints stamped into it, and the plan slot the index goes to. A side
-// selects the query endpoint or the disconnection set toward the
-// neighbouring fragment on the chain, so equal side keys (the tagged
-// endpoint, or that neighbour) mean equal selections without reading them.
-struct HopRef {
-  const HopTemplate* hop;
-  NodeId from;
-  NodeId to;
-  uint64_t source_key;
-  uint64_t target_key;
-  size_t* slot;
-};
-
-std::span<const NodeId> Sources(const HopRef& r) {
-  return r.hop->source_is_endpoint ? std::span<const NodeId>(&r.from, 1)
-                                   : std::span<const NodeId>(r.hop->sources);
-}
-
-std::span<const NodeId> Targets(const HopRef& r) {
-  return r.hop->target_is_endpoint ? std::span<const NodeId>(&r.to, 1)
-                                   : std::span<const NodeId>(r.hop->targets);
-}
-
-std::strong_ordering CompareNodes(std::span<const NodeId> a,
-                                  std::span<const NodeId> b) {
-  return std::lexicographical_compare_three_way(a.begin(), a.end(),
-                                                b.begin(), b.end());
-}
-
-// Orders a fragment's hops by their selections: sources, then targets.
-std::strong_ordering CompareSelections(const HopRef& a, const HopRef& b) {
-  if (a.source_key != b.source_key) {
-    if (auto c = CompareNodes(Sources(a), Sources(b)); c != 0) return c;
+  for (FragmentId f = 0; f < n; ++f) {
+    if (s.state[f] == PruneScratch::kIn && s.degree[f] <= 1) {
+      s.leaves.push_back(f);
+    }
   }
-  if (a.target_key == b.target_key) return std::strong_ordering::equal;
-  return CompareNodes(Targets(a), Targets(b));
-}
-
-// Deduplicates fragment `f`'s hops of the batch's plans by their
-// selections: numbers the distinct selections from 0 in selection order,
-// writes each hop's number into its plan slot and returns the specs in
-// that order. Writes only the slots of `f`'s hops.
-std::vector<LocalQuerySpec> DedupFragment(
-    FragmentId f, const std::vector<uint64_t>& pairs,
-    std::vector<QueryPlan>& plans, const std::vector<PairSkeletons>& held) {
-  thread_local std::vector<HopRef> refs;  // per-thread scratch
-  refs.clear();
-  for (size_t p = 0; p < plans.size(); ++p) {
-    const NodeId from = static_cast<NodeId>(pairs[p] >> 32);
-    const NodeId to = static_cast<NodeId>(pairs[p]);
-    for (size_t c = 0; c < plans[p].chains.size(); ++c) {
-      const FragmentChain& chain = plans[p].chains[c];
-      for (size_t h = 0; h < chain.size(); ++h) {
-        if (chain[h] != f) continue;
-        const HopTemplate& hop = held[p].templates[c][h];
-        refs.push_back(HopRef{
-            &hop, from, to,
-            hop.source_is_endpoint ? kEndpointKey | from : chain[h - 1],
-            hop.target_is_endpoint ? kEndpointKey | to : chain[h + 1],
-            &plans[p].chain_specs[c][h]});
+  // A fragment joins `leaves` once: when first seen with at most one
+  // neighbour, or when its count drops from 2 to 1.
+  while (!s.leaves.empty()) {
+    const FragmentId f = s.leaves.back();
+    s.leaves.pop_back();
+    s.state[f] = PruneScratch::kOut;
+    for (FragmentId g : frag.FragmentNeighbors(f)) {
+      if (s.state[g] == PruneScratch::kOut) continue;
+      if (--s.degree[g] == 1 && s.state[g] == PruneScratch::kIn) {
+        s.leaves.push_back(g);
       }
     }
   }
-  std::sort(refs.begin(), refs.end(), [](const HopRef& a, const HopRef& b) {
-    return CompareSelections(a, b) < 0;
-  });
-  std::vector<LocalQuerySpec> specs;
-  for (size_t i = 0; i < refs.size(); ++i) {
-    if (i == 0 || CompareSelections(refs[i - 1], refs[i]) != 0) {
-      const std::span<const NodeId> sources = Sources(refs[i]);
-      const std::span<const NodeId> targets = Targets(refs[i]);
-      LocalQuerySpec& spec = specs.emplace_back();
-      spec.fragment = f;
-      spec.sources = NodeSet(sources.begin(), sources.end());
-      spec.targets = NodeSet(targets.begin(), targets.end());
-    }
-    *refs[i].slot = specs.size() - 1;
+  // An interior endpoint's hop reaches (or closes from) each border node
+  // of its fragment at its global distance, so no search improves on it
+  // through that fragment's rows.
+  for (NodeId v : {from, to}) {
+    const std::vector<FragmentId>& frags = frag.FragmentsOfNode(v);
+    if (frags.size() == 1) s.state[frags.front()] = PruneScratch::kOut;
   }
-  return specs;
+  rows->clear();
+  for (FragmentId f = 0; f < n; ++f) {
+    if (s.state[f] != PruneScratch::kOut && !frag.BorderNodes(f).empty()) {
+      rows->push_back(f);
+    }
+  }
+}
+
+// Plans one distinct pair, leaving the hop indices for the dedup and
+// `rows` holding fragment ids. A fragment without border nodes has no
+// neighbour, so an interior endpoint of it shares a component only with
+// endpoints of the same fragment: the component test covers it.
+void PlanPair(const Fragmentation& frag,
+              const std::vector<uint32_t>& component, NodeId from, NodeId to,
+              QueryPlan* plan) {
+  const std::vector<FragmentId>& fa = frag.FragmentsOfNode(from);
+  const std::vector<FragmentId>& fb = frag.FragmentsOfNode(to);
+  if (fa.empty() || fb.empty() ||
+      component[fa.front()] != component[fb.front()]) {
+    return;
+  }
+  if (fa.size() == 1 && fb.size() == 1 && fa.front() == fb.front()) {
+    plan->kind = QueryPlan::Kind::kLocal;
+    return;
+  }
+  plan->kind = QueryPlan::Kind::kOverlay;
+  RowFragments(frag, component, from, to, &plan->rows);
+}
+
+// The hops of a fragment in their order of emission, after its rows.
+enum class HopKind : uint8_t { kFrom, kLocal, kTo };
+
+// A planned hop awaiting its spec index: its fragment and kind, the
+// endpoint(s) it selects (0 for the side a border set fills) and the plan
+// slot the index goes to. Equal keys are equal specs.
+struct HopRef {
+  FragmentId fragment;
+  HopKind kind;
+  NodeId from;
+  NodeId to;
+  size_t* slot;
+
+  auto Key() const { return std::tie(fragment, kind, from, to); }
+};
+
+NodeSet BorderSet(const Fragmentation& frag, FragmentId f) {
+  const std::vector<NodeId>& border = frag.BorderNodes(f);
+  return NodeSet(border.begin(), border.end());
 }
 
 }  // namespace
@@ -155,8 +176,8 @@ std::vector<LocalQuerySpec> DedupFragment(
 ParallelPlanResult PlanBatchInParallel(
     const Fragmentation& frag,
     const std::vector<std::pair<NodeId, NodeId>>& endpoints,
-    size_t max_chains, ChainPlanCache* chain_cache, ThreadPool* pool) {
-  TCF_CHECK(chain_cache != nullptr);
+    size_t /*max_chains*/, ChainPlanCache* /*chain_cache*/,
+    ThreadPool* pool) {
   ParallelPlanResult out;
 
   // Each distinct pair is planned once; repeats (hot-pair traffic) share
@@ -179,59 +200,85 @@ ParallelPlanResult PlanBatchInParallel(
                                                   PairKey(from, to)) -
                                  pairs.begin()];
   }
+  if (pairs.empty()) return out;
 
-  // Look up every pair's skeletons, which also sizes the batch's work.
-  std::vector<PairSkeletons> held(pairs.size());
-  size_t chains = 0;
+  const std::vector<uint32_t> component = FragmentComponents(frag);
+  auto plan_range = [&](size_t begin, size_t end) {
+    for (size_t p = begin; p < end; ++p) {
+      PlanPair(frag, component, static_cast<NodeId>(pairs[p] >> 32),
+               static_cast<NodeId>(pairs[p]), &out.distinct[p]);
+    }
+  };
+  if (pool != nullptr && pairs.size() >= kPoolPlanPairs) {
+    pool->ParallelForRanges(pairs.size(), plan_range);
+  } else {
+    plan_range(0, pairs.size());
+  }
+
+  // Collect the hops and the fragments whose rows some plan reads.
+  std::vector<HopRef> refs;
+  refs.reserve(2 * pairs.size());
+  std::vector<uint8_t> needs_rows(frag.NumFragments(), 0);
   for (size_t p = 0; p < pairs.size(); ++p) {
     const NodeId from = static_cast<NodeId>(pairs[p] >> 32);
     const NodeId to = static_cast<NodeId>(pairs[p]);
-    for (FragmentId fa : frag.FragmentsOfNode(from)) {
-      for (FragmentId fb : frag.FragmentsOfNode(to)) {
-        bool was_hit = false;
-        held[p].skeletons.push_back(
-            chain_cache->SkeletonFor(frag, fa, fb, max_chains, &was_hit));
-        (was_hit ? out.cache_hits : out.cache_misses) += 1;
-        chains += held[p].skeletons.back()->chains.size();
+    QueryPlan& plan = out.distinct[p];
+    const std::vector<FragmentId>& fa = frag.FragmentsOfNode(from);
+    const std::vector<FragmentId>& fb = frag.FragmentsOfNode(to);
+    switch (plan.kind) {
+      case QueryPlan::Kind::kUnconnected:
+        break;
+      case QueryPlan::Kind::kLocal:
+        refs.push_back({fa.front(), HopKind::kLocal, from, to,
+                        &plan.from_hop});
+        break;
+      case QueryPlan::Kind::kOverlay:
+        if (fa.size() == 1) {
+          refs.push_back({fa.front(), HopKind::kFrom, from, 0,
+                          &plan.from_hop});
+        }
+        if (fb.size() == 1) {
+          refs.push_back({fb.front(), HopKind::kTo, 0, to, &plan.to_hop});
+        }
+        for (size_t f : plan.rows) needs_rows[f] = 1;
+        break;
+    }
+  }
+  std::sort(refs.begin(), refs.end(), [](const HopRef& a, const HopRef& b) {
+    return a.Key() < b.Key();
+  });
+
+  // Emit the specs fragment by fragment: the rows first, then the hops in
+  // key order, one spec per distinct key.
+  std::vector<LocalQuerySpec>& specs = out.flat.specs;
+  std::vector<size_t> rows_spec(frag.NumFragments(), QueryPlan::kNoSpec);
+  size_t r = 0;
+  for (FragmentId f = 0; f < frag.NumFragments(); ++f) {
+    if (needs_rows[f]) {
+      rows_spec[f] = specs.size();
+      NodeSet border = BorderSet(frag, f);
+      specs.push_back(LocalQuerySpec{f, border, std::move(border)});
+    }
+    for (; r < refs.size() && refs[r].fragment == f; ++r) {
+      const HopRef& ref = refs[r];
+      if (r == 0 || refs[r - 1].Key() != ref.Key()) {
+        switch (ref.kind) {
+          case HopKind::kFrom:
+            specs.push_back({f, {ref.from}, BorderSet(frag, f)});
+            break;
+          case HopKind::kLocal:
+            specs.push_back({f, {ref.from}, {ref.to}});
+            break;
+          case HopKind::kTo:
+            specs.push_back({f, BorderSet(frag, f), {ref.to}});
+            break;
+        }
       }
+      *ref.slot = specs.size() - 1;
     }
-  }
-  if (chains < kPoolPlanChains) pool = nullptr;
-
-  // Stamp the chains, ranges of pairs in parallel; then deduplicate the
-  // hops, one task per fragment.
-  auto stamp_range = [&](size_t begin, size_t end) {
-    for (size_t p = begin; p < end; ++p) {
-      StampChains(held[p], &out.distinct[p]);
-    }
-  };
-  std::vector<std::vector<LocalQuerySpec>> specs(frag.NumFragments());
-  auto dedup = [&](size_t f) {
-    specs[f] = DedupFragment(static_cast<FragmentId>(f), pairs, out.distinct,
-                             held);
-  };
-  if (pool != nullptr) {
-    pool->ParallelForRanges(pairs.size(), stamp_range);
-    pool->ParallelFor(specs.size(), dedup);
-  } else {
-    stamp_range(0, pairs.size());
-    for (size_t f = 0; f < specs.size(); ++f) dedup(f);
-  }
-
-  // Emit the specs fragment by fragment, and offset every plan slot's
-  // fragment-local index by its fragment's first flat index.
-  std::vector<size_t> first(specs.size(), 0);
-  for (size_t f = 0; f < specs.size(); ++f) {
-    first[f] = out.flat.specs.size();
-    std::move(specs[f].begin(), specs[f].end(),
-              std::back_inserter(out.flat.specs));
   }
   for (QueryPlan& plan : out.distinct) {
-    for (size_t c = 0; c < plan.chains.size(); ++c) {
-      for (size_t h = 0; h < plan.chains[c].size(); ++h) {
-        plan.chain_specs[c][h] += first[plan.chains[c][h]];
-      }
-    }
+    for (size_t& row : plan.rows) row = rows_spec[row];
   }
   return out;
 }
@@ -342,18 +389,21 @@ std::vector<LocalQueryResult> RunSites(
 
 namespace {
 
+// Calls fn(i) for every spec index the plan reads.
+template <typename Fn>
+void ForEachSpec(const QueryPlan& plan, Fn&& fn) {
+  if (plan.from_hop != QueryPlan::kNoSpec) fn(plan.from_hop);
+  if (plan.to_hop != QueryPlan::kNoSpec) fn(plan.to_hop);
+  for (size_t idx : plan.rows) fn(idx);
+}
+
 // The distinct fragments the plan's subqueries touch, ascending.
 std::vector<FragmentId> InvolvedFragments(
-    const Fragmentation& frag, const QueryPlan& plan,
-    const std::vector<LocalQuerySpec>& specs) {
-  std::vector<char> involved(frag.NumFragments(), 0);
-  for (const std::vector<size_t>& hops : plan.chain_specs) {
-    for (size_t idx : hops) involved[specs[idx].fragment] = 1;
-  }
+    const QueryPlan& plan, const std::vector<LocalQuerySpec>& specs) {
   std::vector<FragmentId> out;
-  for (FragmentId f = 0; f < frag.NumFragments(); ++f) {
-    if (involved[f]) out.push_back(f);
-  }
+  ForEachSpec(plan, [&](size_t idx) { out.push_back(specs[idx].fragment); });
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
@@ -362,88 +412,224 @@ std::vector<FragmentId> InvolvedFragments(
 // subquery would compute a confidently wrong answer from partial paths.
 Status PlanResultsStatus(const QueryPlan& plan,
                          const std::vector<LocalQueryResult>& results) {
-  for (const std::vector<size_t>& hops : plan.chain_specs) {
-    for (size_t idx : hops) {
-      if (!results[idx].status.ok()) return results[idx].status;
-    }
-  }
-  return Status::OK();
+  Status status = Status::OK();
+  ForEachSpec(plan, [&](size_t idx) {
+    if (status.ok() && !results[idx].status.ok()) status = results[idx].status;
+  });
+  return status;
 }
 
-/// A node a chain sweep reached after a hop: its cheapest cost from the
-/// query's source, and the index in the previous layer of the relay that
-/// cost came through.
-struct Reached {
-  NodeId node = 0;
-  Weight cost = 0.0;
-  uint32_t pred = 0;
+// The path semirings of the overlay search: how a step extends a path's
+// value, which of two values is better, the value of the empty path and
+// that of no path.
+struct MinPlus {
+  static constexpr Weight kEmpty = 0.0;
+  static constexpr Weight kNone = kInfinity;
+  static Weight Extend(Weight a, Weight b) { return a + b; }
+  static bool Better(Weight a, Weight b) { return a < b; }
 };
 
-/// Per-thread sweep state, reused by every chain the thread assembles.
-/// layers[i] holds the nodes reached after hop i - 1 (layers[0] is the
-/// query's source); slot_of[v] is v's index in the layer being built iff
-/// slot_stamp[v] == stamp.
-struct SweepScratch {
-  std::vector<std::vector<Reached>> layers;
-  std::vector<uint32_t> slot_of;
-  std::vector<uint64_t> slot_stamp;
+struct MaxMin {
+  static constexpr Weight kEmpty = kInfinity;
+  static constexpr Weight kNone = 0.0;
+  static Weight Extend(Weight a, Weight b) { return std::min(a, b); }
+  static bool Better(Weight a, Weight b) { return a > b; }
+};
+
+/// Per-thread search state over global node ids, reused by every query the
+/// thread assembles: value[v], pred[v] and via[v] (the fragment whose row
+/// set value[v]) hold iff seen[v] == stamp.
+struct OverlayScratch {
+  std::vector<Weight> value;
+  std::vector<NodeId> pred;
+  std::vector<FragmentId> via;
+  std::vector<uint64_t> seen;
   uint64_t stamp = 0;
+  std::vector<std::pair<Weight, NodeId>> heap;
+
+  void Begin(size_t num_nodes) {
+    if (seen.size() < num_nodes) {
+      value.resize(num_nodes);
+      pred.resize(num_nodes);
+      via.resize(num_nodes);
+      seen.resize(num_nodes, 0);
+    }
+    ++stamp;
+    heap.clear();
+  }
+  bool Seen(NodeId v) const { return seen[v] == stamp; }
 };
 
-SweepScratch& ThreadSweepScratch() {
-  thread_local SweepScratch scratch;
+OverlayScratch& ThreadOverlayScratch() {
+  thread_local OverlayScratch scratch;
   return scratch;
 }
 
-/// The min-plus frontier sweep over one chain, `hops` indexing its
-/// phase-1 results in chain order: layer i + 1 keeps, per node, the
-/// cheapest layer-i cost plus a hop-i tuple cost. These are AssembleChain's
-/// additions in its order, so the cost at `to` is bit-identical to the
-/// fold's BestCost(from, to), and the relaxations of hops after the first,
-/// added to `*relaxations`, are the fold's join tuples. Returns `to`'s
-/// entry in the last layer (valid until the next sweep on this thread), or
-/// null when the chain does not connect.
-const Reached* SweepChain(const std::vector<size_t>& hops,
-                          const std::vector<LocalQueryResult>& results,
-                          NodeId from, NodeId to, SweepScratch& s,
-                          size_t* relaxations) {
-  if (s.layers.size() <= hops.size()) s.layers.resize(hops.size() + 1);
-  s.layers[0].assign(1, Reached{from, 0.0, 0});
-  for (size_t i = 0; i < hops.size(); ++i) {
-    // Phase-1 results are resident and canonically sorted, so a relay's
-    // tuples are one binary search away.
-    const std::vector<PathTuple>& tuples = results[hops[i]].paths.tuples();
-    const std::vector<Reached>& frontier = s.layers[i];
-    std::vector<Reached>& next = s.layers[i + 1];
-    next.clear();
-    ++s.stamp;
-    for (uint32_t j = 0; j < frontier.size(); ++j) {
-      const Reached& x = frontier[j];
-      auto t = std::lower_bound(
-          tuples.begin(), tuples.end(), x.node,
-          [](const PathTuple& a, NodeId v) { return a.src < v; });
-      for (; t != tuples.end() && t->src == x.node; ++t) {
-        // The fold starts from hop 0's own costs.
-        const Weight cost = i == 0 ? t->cost : x.cost + t->cost;
-        if (t->dst >= s.slot_of.size()) {
-          s.slot_of.resize(t->dst + 1);
-          s.slot_stamp.resize(t->dst + 1, 0);
-        }
-        if (s.slot_stamp[t->dst] != s.stamp) {
-          s.slot_stamp[t->dst] = s.stamp;
-          s.slot_of[t->dst] = static_cast<uint32_t>(next.size());
-          next.push_back(Reached{t->dst, cost, j});
-        } else if (Reached& y = next[s.slot_of[t->dst]]; cost < y.cost) {
-          y.cost = cost;
-          y.pred = j;
-        }
-        if (i > 0) ++*relaxations;
+/// The tuples with src == v of a relation sorted by (src, dst).
+std::span<const PathTuple> TuplesFrom(std::span<const PathTuple> tuples,
+                                      NodeId v) {
+  auto lo = std::lower_bound(
+      tuples.begin(), tuples.end(), v,
+      [](const PathTuple& t, NodeId x) { return t.src < x; });
+  auto hi = lo;
+  while (hi != tuples.end() && hi->src == v) ++hi;
+  return {lo, hi};
+}
+
+/// What an overlay search found: the best value at `to`, and the border
+/// node it left the overlay from (the node whose `to`-hop tuple closed it,
+/// or `to` itself), kInvalidNode when nothing reached `to`.
+struct OverlayResult {
+  Weight value = 0.0;
+  NodeId sink = kInvalidNode;
+};
+
+/// The overlay search of a kOverlay plan in semiring S; `tuples_of(i)`
+/// returns spec i's tuples sorted by (src, dst). Leaves each settled
+/// node's predecessor in `s` (kInvalidNode where the search began at it).
+/// Adds the tuples it combines to `*relaxations`.
+template <typename S, typename TuplesOf>
+OverlayResult SearchOverlay(const Fragmentation& frag, const QueryPlan& plan,
+                            const std::vector<LocalQuerySpec>& specs,
+                            NodeId from, NodeId to, const TuplesOf& tuples_of,
+                            OverlayScratch& s, size_t* relaxations) {
+  // Heap order: the better value first, ties by node id.
+  auto later = [](const std::pair<Weight, NodeId>& a,
+                  const std::pair<Weight, NodeId>& b) {
+    return S::Better(b.first, a.first) ||
+           (a.first == b.first && a.second > b.second);
+  };
+  auto offer = [&](NodeId v, Weight value, NodeId pred, FragmentId via) {
+    if (s.Seen(v) && !S::Better(value, s.value[v])) return;
+    s.seen[v] = s.stamp;
+    s.value[v] = value;
+    s.pred[v] = pred;
+    s.via[v] = via;
+    s.heap.emplace_back(value, v);
+    std::push_heap(s.heap.begin(), s.heap.end(), later);
+  };
+
+  s.Begin(frag.graph().NumNodes());
+  if (plan.from_hop != QueryPlan::kNoSpec) {
+    const FragmentId fa = specs[plan.from_hop].fragment;
+    for (const PathTuple& t : tuples_of(plan.from_hop)) {
+      offer(t.dst, t.cost, kInvalidNode, fa);
+      ++*relaxations;
+    }
+  } else {
+    offer(from, S::kEmpty, kInvalidNode, Fragmentation::kInvalidFragment);
+  }
+  std::span<const PathTuple> sink_tuples;
+  if (plan.to_hop != QueryPlan::kNoSpec) sink_tuples = tuples_of(plan.to_hop);
+
+  OverlayResult best{S::kNone, kInvalidNode};
+  while (!s.heap.empty()) {
+    std::pop_heap(s.heap.begin(), s.heap.end(), later);
+    const auto [value, v] = s.heap.back();
+    s.heap.pop_back();
+    if (S::Better(s.value[v], value)) continue;  // stale entry
+    if (!S::Better(value, best.value)) break;    // nothing left can win
+    if (plan.to_hop == QueryPlan::kNoSpec) {
+      if (v == to) {
+        best = {value, v};
+        break;
+      }
+    } else {
+      for (const PathTuple& t : TuplesFrom(sink_tuples, v)) {
+        ++*relaxations;
+        const Weight closed = S::Extend(value, t.cost);
+        if (S::Better(closed, best.value)) best = {closed, v};
       }
     }
-    if (next.empty()) return nullptr;
+    // The row of v's own arrival fragment cannot help: its predecessor
+    // relaxed that row already, and global distances obey the triangle
+    // inequality (widest capacities its max-min form).
+    for (FragmentId f : frag.FragmentsOfNode(v)) {
+      if (f == s.via[v]) continue;
+      auto row = std::lower_bound(
+          plan.rows.begin(), plan.rows.end(), f,
+          [&](size_t idx, FragmentId g) { return specs[idx].fragment < g; });
+      if (row == plan.rows.end() || specs[*row].fragment != f) continue;
+      for (const PathTuple& t : TuplesFrom(tuples_of(*row), v)) {
+        ++*relaxations;
+        offer(t.dst, S::Extend(value, t.cost), v, f);
+      }
+    }
   }
-  if (to >= s.slot_of.size() || s.slot_stamp[to] != s.stamp) return nullptr;
-  return &s.layers[hops.size()][s.slot_of[to]];
+  return best;
+}
+
+/// Runs a plan of any kind in semiring S: a kLocal plan's value is its
+/// hop's (from, to) tuple.
+template <typename S, typename TuplesOf>
+OverlayResult SearchPlan(const Fragmentation& frag, const QueryPlan& plan,
+                         const std::vector<LocalQuerySpec>& specs,
+                         NodeId from, NodeId to, const TuplesOf& tuples_of,
+                         OverlayScratch& s, size_t* relaxations) {
+  switch (plan.kind) {
+    case QueryPlan::Kind::kUnconnected:
+      break;
+    case QueryPlan::Kind::kLocal:
+      for (const PathTuple& t : TuplesFrom(tuples_of(plan.from_hop), from)) {
+        if (t.dst == to) return {t.cost, to};
+      }
+      break;
+    case QueryPlan::Kind::kOverlay:
+      return SearchOverlay<S>(frag, plan, specs, from, to, tuples_of, s,
+                              relaxations);
+  }
+  return {S::kNone, kInvalidNode};
+}
+
+/// Phase-1 results as the search reads them.
+auto ResultTuples(const std::vector<LocalQueryResult>& results) {
+  return [&results](size_t idx) -> std::span<const PathTuple> {
+    return results[idx].paths.tuples();
+  };
+}
+
+/// Appends the witness route of shortcut x -> y to `route` (which ends at
+/// x); kInvalidArgument when the shortcut has none.
+Status AppendWitness(const ComplementaryInfo& complementary, NodeId x,
+                     NodeId y, std::vector<NodeId>* route) {
+  const std::span<const NodeId> witness = complementary.Witness(x, y);
+  if (witness.empty()) {
+    std::string message = "no witness route for shortcut ";
+    message += std::to_string(x);
+    message += "->";
+    message += std::to_string(y);
+    return Status::InvalidArgument(message);
+  }
+  route->insert(route->end(), witness.begin() + 1, witness.end());
+  return Status::OK();
+}
+
+/// Appends the route u..v inside fragment f's augmented graph to `route`
+/// (which ends at u), each shortcut hop replaced by its witness.
+Status ExpandLeg(const Fragmentation& frag,
+                 const ComplementaryInfo& complementary, FragmentId f,
+                 NodeId u, NodeId v, std::vector<NodeId>* route) {
+  if (u == v) return Status::OK();
+  size_t real_edges = 0;
+  // The re-expansion re-reads the shortcut store.
+  Result<Graph> built =
+      BuildAugmentedFragment(frag, &complementary, f, &real_edges);
+  if (!built.ok()) return built.status();
+  const Graph augmented = std::move(built).value();
+  ShortestPaths sp = Dijkstra(augmented, u);
+  TCF_CHECK_MSG(sp.distance[v] != kInfinity,
+                "relay pair unreachable during reconstruction");
+  const std::vector<NodeId> nodes = sp.PathTo(v);
+  const std::vector<EdgeId> edges = sp.EdgesTo(v);
+  for (size_t k = 0; k < edges.size(); ++k) {
+    if (edges[k] < real_edges) {
+      route->push_back(nodes[k + 1]);
+    } else {
+      TCF_RETURN_NOT_OK(
+          AppendWitness(complementary, nodes[k], nodes[k + 1], route));
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -469,23 +655,17 @@ QueryAnswer AssembleCostAnswer(const Fragmentation& frag,
                                const std::vector<LocalQueryResult>& results,
                                ExecutionReport* report) {
   QueryAnswer answer;
-  answer.chains_considered = plan.chains.size();
-  if (plan.chains.empty()) return answer;
-  answer.fragments_involved = InvolvedFragments(frag, plan, specs);
+  if (plan.kind == QueryPlan::Kind::kUnconnected) return answer;
+  answer.fragments_involved = InvolvedFragments(plan, specs);
   answer.status = PlanResultsStatus(plan, results);
   if (!answer.status.ok()) return answer;
 
-  // Sweep each chain; the overall best is the answer.
   WallTimer timer;
-  SweepScratch& s = ThreadSweepScratch();
   size_t relaxations = 0;
-  for (const std::vector<size_t>& hops : plan.chain_specs) {
-    const Reached* reached = SweepChain(hops, results, from, to, s,
-                                        &relaxations);
-    if (reached != nullptr && reached->cost < answer.cost) {
-      answer.cost = reached->cost;
-    }
-  }
+  answer.cost = SearchPlan<MinPlus>(frag, plan, specs, from, to,
+                                    ResultTuples(results),
+                                    ThreadOverlayScratch(), &relaxations)
+                    .value;
   answer.connected = answer.cost != kInfinity;
   if (report != nullptr) {
     report->assembly_join_tuples += relaxations;
@@ -502,92 +682,82 @@ RouteAnswer AssembleRouteAnswer(const Fragmentation& frag,
                                 const std::vector<LocalQueryResult>& results,
                                 ExecutionReport* report) {
   RouteAnswer out;
-  out.answer.chains_considered = plan.chains.size();
-  if (plan.chains.empty()) return out;
-  out.answer.fragments_involved = InvolvedFragments(frag, plan, specs);
+  if (plan.kind == QueryPlan::Kind::kUnconnected) return out;
+  out.answer.fragments_involved = InvolvedFragments(plan, specs);
   out.answer.status = PlanResultsStatus(plan, results);
   if (!out.answer.status.ok()) return out;
   WallTimer timer;
 
-  // The cost sweep over each chain's relay layers — {from}, DS_1, ...,
-  // DS_{m-1}, {to} — keeping the winning chain's relay sequence.
-  SweepScratch& s = ThreadSweepScratch();
+  OverlayScratch& s = ThreadOverlayScratch();
   size_t relaxations = 0;
-  size_t best_chain = 0;
-  Weight best_cost = kInfinity;
-  std::vector<NodeId> best_relays;  // relay node at each layer boundary
-  for (size_t c = 0; c < plan.chains.size(); ++c) {
-    const std::vector<size_t>& hops = plan.chain_specs[c];
-    const Reached* reached = SweepChain(hops, results, from, to, s,
-                                        &relaxations);
-    if (reached == nullptr || reached->cost >= best_cost) continue;
-    best_cost = reached->cost;
-    best_chain = c;
-    // Backtrack the relay sequence from..to through the predecessors.
-    best_relays.assign(hops.size() + 1, to);
-    best_relays.front() = from;
-    for (size_t i = hops.size() - 1, k = reached->pred; i > 0; --i) {
-      best_relays[i] = s.layers[i][k].node;
-      k = s.layers[i][k].pred;
-    }
-  }
+  const OverlayResult best = SearchPlan<MinPlus>(
+      frag, plan, specs, from, to, ResultTuples(results), s, &relaxations);
   if (report != nullptr) report->assembly_join_tuples += relaxations;
-
-  out.answer.cost = best_cost;
-  out.answer.connected = best_cost != kInfinity;
+  out.answer.cost = best.value;
+  out.answer.connected = best.value != kInfinity;
   if (!out.answer.connected) {
     if (report != nullptr) report->assembly_seconds += timer.ElapsedSeconds();
     return out;
   }
 
-  // Expand each leg inside its fragment's augmented graph; shortcut hops
-  // (edge ids past the real-edge count) are replaced by their witnesses.
-  // A leg that cannot be expanded fails the route query just like a
-  // phase-1 failure would.
-  auto fail = [&](Status status) {
-    out.answer = QueryAnswer();
-    out.answer.chains_considered = plan.chains.size();
-    out.answer.status = std::move(status);
-    out.route.clear();
-    if (report != nullptr) report->assembly_seconds += timer.ElapsedSeconds();
-    return std::move(out);
-  };
-  const FragmentChain& chain = plan.chains[best_chain];
-  out.route = {from};
-  for (size_t i = 0; i < chain.size(); ++i) {
-    const NodeId u = best_relays[i];
-    const NodeId v = best_relays[i + 1];
-    if (u == v) continue;  // pass-through at a shared border node
-    size_t real_edges = 0;
-    Result<Graph> built = BuildAugmentedFragment(frag, &complementary,
-                                                 chain[i], &real_edges);
-    // The re-expansion re-reads the shortcut store.
-    if (!built.ok()) return fail(built.status());
-    const Graph augmented = std::move(built).value();
-    ShortestPaths sp = Dijkstra(augmented, u);
-    TCF_CHECK_MSG(sp.distance[v] != kInfinity,
-                  "relay pair unreachable during reconstruction");
-    std::vector<NodeId> nodes = sp.PathTo(v);
-    std::vector<EdgeId> edges = sp.EdgesTo(v);
-    for (size_t k = 0; k < edges.size(); ++k) {
-      if (edges[k] < real_edges) {
-        out.route.push_back(nodes[k + 1]);
-        continue;
-      }
-      const std::span<const NodeId> witness =
-          complementary.Witness(nodes[k], nodes[k + 1]);
-      if (witness.empty()) {
-        std::string message = "no witness route for shortcut ";
-        message += std::to_string(nodes[k]);
-        message += "->";
-        message += std::to_string(nodes[k + 1]);
-        return fail(Status::InvalidArgument(message));
-      }
-      out.route.insert(out.route.end(), witness.begin() + 1, witness.end());
+  // The border nodes the search passed, from its first to `sink`.
+  std::vector<NodeId> relays;
+  if (plan.kind == QueryPlan::Kind::kOverlay) {
+    for (NodeId v = best.sink; v != kInvalidNode; v = s.pred[v]) {
+      relays.push_back(v);
     }
+    std::reverse(relays.begin(), relays.end());
+  }
+
+  // Expand the hops inside their fragments and each overlay step through
+  // its witness. A step that cannot be expanded fails the route query
+  // just like a phase-1 failure would.
+  out.route = {from};
+  Status expanded = Status::OK();
+  if (plan.kind == QueryPlan::Kind::kLocal) {
+    expanded = ExpandLeg(frag, complementary, specs[plan.from_hop].fragment,
+                         from, to, &out.route);
+  } else {
+    if (plan.from_hop != QueryPlan::kNoSpec) {
+      expanded = ExpandLeg(frag, complementary,
+                           specs[plan.from_hop].fragment, from,
+                           relays.front(), &out.route);
+    }
+    for (size_t i = 0; expanded.ok() && i + 1 < relays.size(); ++i) {
+      expanded = AppendWitness(complementary, relays[i], relays[i + 1],
+                               &out.route);
+    }
+    if (expanded.ok() && plan.to_hop != QueryPlan::kNoSpec) {
+      expanded = ExpandLeg(frag, complementary, specs[plan.to_hop].fragment,
+                           relays.back(), to, &out.route);
+    }
+  }
+  if (!expanded.ok()) {
+    out.answer = QueryAnswer();
+    out.answer.status = std::move(expanded);
+    out.route.clear();
   }
   if (report != nullptr) report->assembly_seconds += timer.ElapsedSeconds();
   return out;
+}
+
+Weight AssembleWidestCapacity(
+    const Fragmentation& frag, const QueryPlan& plan,
+    const std::vector<LocalQuerySpec>& specs, NodeId from, NodeId to,
+    std::span<const std::span<const PathTuple>> tuples,
+    ExecutionReport* report) {
+  WallTimer timer;
+  size_t relaxations = 0;
+  const Weight capacity =
+      SearchPlan<MaxMin>(frag, plan, specs, from, to,
+                         [tuples](size_t idx) { return tuples[idx]; },
+                         ThreadOverlayScratch(), &relaxations)
+          .value;
+  if (report != nullptr) {
+    report->assembly_join_tuples += relaxations;
+    report->assembly_seconds += timer.ElapsedSeconds();
+  }
+  return capacity;
 }
 
 }  // namespace tcf

@@ -99,6 +99,8 @@ void Finish(const LocalQuerySpec& spec, LocalQueryResult* result) {
 /// How the Dijkstra engine answers one subquery of a group.
 enum class Answer : uint8_t {
   kNothing,  // a side has no node in the fragment: no tuple to find
+  kRows,     // both sides all of B(f), with complementary info: the
+             // stored shortcut tuples as they stream
   kSelect,   // border nodes only, with complementary info: overlay rows
   kSearch,   // one search per node of the smaller keyhole side
 };
@@ -138,6 +140,7 @@ struct GroupScratch {
   std::vector<uint32_t> far;    // the marked ids of the current search
   std::vector<std::pair<Weight, uint32_t>> heap;
   std::vector<LocalArc> shortcut_arcs;
+  std::vector<PathTuple> rows;  // the stream in global ids, when kept
   LocalCsr overlay;          // shortcut arcs by tail
   LocalCsr reverse_overlay;  // by head, built only for backward searches
   std::vector<uint32_t> ids;  // every subquery's sides, see Sides
@@ -180,11 +183,14 @@ GroupScratch& ThreadScratch() {
 }
 
 /// Streams fragment f's shortcut relation into `s.shortcut_arcs`, in local
-/// ids. Fails on an unreadable page, and on a tuple joining a node outside
-/// the fragment (it has no local id to be placed at).
+/// ids, and when `keep_rows` also into `s.rows` as they are (stored
+/// relations are sorted by (src, dst), see ComplementaryInfo::shortcuts).
+/// Fails on an unreadable page, and on a tuple joining a node outside the
+/// fragment (it has no local id to be placed at).
 Status StreamShortcuts(const ComplementaryInfo& complementary, FragmentId f,
-                       GroupScratch& s) {
+                       bool keep_rows, GroupScratch& s) {
   s.shortcut_arcs.clear();
+  s.rows.clear();
   size_t foreign = 0;
   TCF_RETURN_NOT_OK(
       complementary.ForFragment(f).ForEach([&](const PathTuple& t) {
@@ -194,6 +200,7 @@ Status StreamShortcuts(const ComplementaryInfo& complementary, FragmentId f,
           ++foreign;
         } else {
           s.shortcut_arcs.push_back(LocalArc{a, b, t.cost});
+          if (keep_rows) s.rows.push_back(t);
         }
       }));
   if (foreign > 0) {
@@ -263,7 +270,10 @@ void RunLocalQueryGroup(const Fragmentation& frag,
   s.sides.clear();
   s.needs.clear();
   bool needs_shortcuts = false;
+  bool needs_overlay = false;
+  bool any_rows = false;
   bool any_backward = false;
+  const size_t num_border = frag.BorderNodes(f).size();
   for (uint32_t k = 0; k < specs.size(); ++k) {
     const LocalQuerySpec& spec = *specs[k];
     TCF_CHECK(spec.fragment == f);
@@ -285,6 +295,13 @@ void RunLocalQueryGroup(const Fragmentation& frag,
     sides.end = to_local(spec.targets);
     if (sides.begin == sides.mid || sides.mid == sides.end) {
       sides.answer = Answer::kNothing;
+    } else if (complementary != nullptr && all_border &&
+               sides.mid - sides.begin == num_border &&
+               sides.end - sides.mid == num_border) {
+      // Both sides are all of B(f): the stored relation itself, read as it
+      // streams — no overlay walk, no self-tuples, no aggregation.
+      sides.answer = Answer::kRows;
+      any_rows = true;
     } else if (complementary != nullptr && all_border) {
       // Between border nodes the shortcut relation is the answer: it
       // holds (x, y, d*(x, y)) for every border pair of the fragment, and
@@ -305,6 +322,8 @@ void RunLocalQueryGroup(const Fragmentation& frag,
     }
     needs_shortcuts = needs_shortcuts || (complementary != nullptr &&
                                           sides.answer != Answer::kNothing);
+    needs_overlay = needs_overlay || sides.answer == Answer::kSelect ||
+                    sides.answer == Answer::kSearch;
     s.sides.push_back(sides);
   }
 
@@ -314,7 +333,7 @@ void RunLocalQueryGroup(const Fragmentation& frag,
   const LocalCsr* overlay = nullptr;
   const LocalCsr* reverse_overlay = nullptr;
   if (needs_shortcuts) {
-    const Status read = StreamShortcuts(*complementary, f, s);
+    const Status read = StreamShortcuts(*complementary, f, any_rows, s);
     if (!read.ok()) {
       for (size_t k = 0; k < specs.size(); ++k) {
         if (s.sides[k].answer != Answer::kNothing) results[k].status = read;
@@ -322,8 +341,10 @@ void RunLocalQueryGroup(const Fragmentation& frag,
       }
       return;
     }
-    BuildLocalCsr(n, s.shortcut_arcs, /*reverse=*/false, &s.overlay);
-    overlay = &s.overlay;
+    if (needs_overlay) {
+      BuildLocalCsr(n, s.shortcut_arcs, /*reverse=*/false, &s.overlay);
+      overlay = &s.overlay;
+    }
     if (any_backward) {
       BuildLocalCsr(n, s.shortcut_arcs, /*reverse=*/true,
                     &s.reverse_overlay);
@@ -331,10 +352,15 @@ void RunLocalQueryGroup(const Fragmentation& frag,
     }
   }
 
-  // Border-to-border subqueries: each source's overlay row, restricted to
-  // the subquery's targets.
+  // Border-to-border subqueries: the stored rows whole, or each source's
+  // overlay row restricted to the subquery's targets.
   for (size_t k = 0; k < specs.size(); ++k) {
     const Sides& sides = s.sides[k];
+    if (sides.answer == Answer::kRows) {
+      results[k].paths = Relation(s.rows);
+      results[k].stats.result_size = s.rows.size();
+      continue;
+    }
     if (sides.answer != Answer::kSelect) continue;
     for (uint32_t i = sides.mid; i < sides.end; ++i) s.marked[s.ids[i]] = 1;
     for (uint32_t i = sides.begin; i < sides.mid; ++i) {
@@ -403,7 +429,9 @@ void RunLocalQueryGroup(const Fragmentation& frag,
       r = e;
     }
   }
-  for (size_t k = 0; k < specs.size(); ++k) Finish(*specs[k], &results[k]);
+  for (size_t k = 0; k < specs.size(); ++k) {
+    if (s.sides[k].answer != Answer::kRows) Finish(*specs[k], &results[k]);
+  }
 }
 
 LocalQueryResult RunLocalQuery(const Fragmentation& frag,

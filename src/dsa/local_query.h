@@ -26,7 +26,9 @@
 //     nodes needs no search: the shortcut relation already holds d*(x, y)
 //     for every border pair, and no path of the augmented fragment is
 //     shorter, so the answer is its sources' overlay rows restricted to
-//     its targets. Every other subquery searches the fragment's LocalGraph
+//     its targets. When both sides are all of the fragment's border nodes
+//     (the planner's rows subquery) the answer is the stored relation
+//     itself, taken as it streams, in its stored (src, dst) order. Every other subquery searches the fragment's LocalGraph
 //     (Fragmentation::LocalGraphOf, dense local ids, built once per
 //     snapshot) plus the overlay, from the smaller keyhole side: forward
 //     from each source, or backward from each target when there are fewer
@@ -64,9 +66,10 @@ struct LocalQuerySpec {
 };
 
 struct LocalQueryResult {
-  /// Best (src, dst, cost) per source-target pair, including zero-cost
-  /// self-tuples for nodes in sources ∩ targets (a chain may pass through
-  /// a fragment at a single shared node).
+  /// Best (src, dst, cost) per source-target pair, canonically sorted,
+  /// including zero-cost self-tuples for nodes in sources ∩ targets —
+  /// except the Dijkstra engine's stored-rows answer, which is the
+  /// shortcut relation as stored (sorted by (src, dst), no self-tuples).
   Relation paths;
   /// Workload statistics. The relational engines fill them all; Dijkstra
   /// fills only `iterations`, with the number of nodes its searches

@@ -22,20 +22,6 @@ Graph BuildStagedGraph(const std::vector<Point>& coords, size_t num_nodes,
   return builder.Build();
 }
 
-/// The fragmentation-graph adjacency as a comparable value: the sorted
-/// pair set of nonempty disconnection sets. If this changes between
-/// epochs, chains not enumerable in the old fragmentation graph may exist,
-/// so no cached plan is trustworthy.
-std::vector<std::pair<FragmentId, FragmentId>> AdjacencyPairs(
-    const Fragmentation& frag) {
-  std::vector<std::pair<FragmentId, FragmentId>> pairs;
-  pairs.reserve(frag.disconnection_sets().size());
-  for (const DisconnectionSet& ds : frag.disconnection_sets()) {
-    pairs.emplace_back(ds.frag_a, ds.frag_b);
-  }
-  return pairs;  // disconnection_sets() is sorted by (frag_a, frag_b)
-}
-
 }  // namespace
 
 MaintainedDatabase::MaintainedDatabase(
@@ -264,18 +250,6 @@ EpochStats MaintainedDatabase::ApplyEpoch(
   stats.renumbered = new_num_fragments != num_fragments_;
   num_fragments_ = new_num_fragments;
 
-  // Exact post-hoc dirty sets (id-aligned epochs only).
-  std::vector<bool> dirty_fragment;
-  bool adjacency_changed = true;
-  if (!stats.renumbered) {
-    dirty_fragment.assign(num_fragments_, false);
-    for (FragmentId f = 0; f < num_fragments_; ++f) {
-      dirty_fragment[f] = frag->FragmentNodes(f) != old_frag.FragmentNodes(f);
-    }
-    adjacency_changed = AdjacencyPairs(*frag) != AdjacencyPairs(old_frag);
-  }
-  stats.caches_reset = stats.renumbered || adjacency_changed;
-
   EpochCarryover carry;
   carry.epoch = epoch_id;
   carry.pool = old_snap.db->SharePool();
@@ -303,14 +277,6 @@ EpochStats MaintainedDatabase::ApplyEpoch(
       }
       carry.complementary = std::move(refresh.info);
     }
-  }
-
-  if (!stats.caches_reset) {
-    ChainPlanCache::EpochCarry plan_carry =
-        old_snap.db->plan_cache()->NextEpoch(dirty_fragment, epoch_id);
-    carry.plan_cache = std::move(plan_carry.cache);
-    stats.skeletons_kept = plan_carry.skeletons_kept;
-    stats.skeletons_dropped = plan_carry.skeletons_dropped;
   }
 
   std::shared_ptr<const DsaDatabase> db(

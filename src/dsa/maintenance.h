@@ -29,13 +29,9 @@
 //     conservative per-update semantics — a deletion that removed edges
 //     always counts as structural — while EpochStats reports the exact
 //     post-hoc dirty and reuse counts.
-//   - *plan-cache succession* — the successor database inherits every
-//     chain skeleton that provably cannot have changed (no chain through a
-//     dirty fragment); skeletons are invalidated by version succession,
-//     never in place, so carry-over is bounded by fragment pairs, not by
-//     read traffic. If the fragmentation-graph adjacency (the
-//     disconnection-set pair set) changed, or fragments were renumbered,
-//     the successor starts cold.
+//
+// Query plans depend on nothing an epoch carries: each batch plans its
+// queries afresh from the snapshot's fragmentation.
 //
 // Thread-safety contract:
 //   - Snapshot() and the meter accessors are safe from ANY thread at any
@@ -114,7 +110,7 @@ struct EpochStats {
   bool published = false;    // false when every op was a no-op
   bool structural = false;   // counted on the legacy structural meter
   bool renumbered = false;   // compaction changed fragment ids (full redo)
-  bool caches_reset = false;  // successor plan caches started cold
+  bool caches_reset = false;  // kept only for perfbench: always false
 
   size_t ops_applied = 0;  // ops with an effect (no-ops are skipped)
   size_t edges_inserted = 0;
@@ -132,9 +128,6 @@ struct EpochStats {
   // read. The refreshed info is exact either way.
   Status complementary_fallback = Status::OK();
 
-  // Plan-cache succession accounting (ChainPlanCache::NextEpoch).
-  size_t skeletons_kept = 0;
-  size_t skeletons_dropped = 0;
   size_t plans_kept = 0;     // kept only for perfbench: always 0
   size_t plans_dropped = 0;  // kept only for perfbench: always 0
 };

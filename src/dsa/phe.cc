@@ -45,7 +45,6 @@ QueryAnswer PheDatabase::ShortestPath(NodeId from, NodeId to,
       fb == Fragmentation::kInvalidFragment) {
     return answer;  // isolated node
   }
-  answer.chains_considered = 1;
   answer.fragments_involved = {fa};
   if (fb != fa) answer.fragments_involved.push_back(fb);
   std::sort(answer.fragments_involved.begin(),

@@ -9,7 +9,9 @@
 // per-fragment shortcut relations. Any query then needs at most three
 // subqueries — source fragment, backbone, destination fragment — no matter
 // how tangled the fragmentation graph is; tests verify PHE answers match
-// the chain-based DsaDatabase and the whole-graph oracle.
+// DsaDatabase and the whole-graph oracle. DsaDatabase searches the same
+// overlay in its phase 2, reading only the rows a query may cross; PHE
+// materializes the whole backbone, as the paper's comparison point.
 #pragma once
 
 #include <memory>

@@ -7,7 +7,7 @@ namespace tcf {
 namespace {
 
 // A fresh database starts as an epoch-0 successor of nothing: freshly
-// precomputed complementary info, and no pool or plan cache to adopt.
+// precomputed complementary info, and no pool to adopt.
 EpochCarryover FreshCarryover(const Fragmentation* frag,
                               const DsaOptions& options) {
   TCF_CHECK(frag != nullptr);
@@ -40,11 +40,6 @@ DsaDatabase::DsaDatabase(const Fragmentation* frag, DsaOptions options,
     const size_t threads = options_.num_threads > 0 ? options_.num_threads
                                                     : frag_->NumFragments();
     pool_ = std::make_shared<ThreadPool>(threads);
-  }
-  if (carry.plan_cache != nullptr) {
-    plan_cache_ = std::move(carry.plan_cache);
-  } else {
-    plan_cache_ = std::make_unique<ChainPlanCache>();
   }
 }
 

@@ -3,24 +3,26 @@
 // information once (the paper's amortized pre-processing), and answers
 // connection and shortest-path queries by
 //   1. locating the fragments of the two query constants,
-//   2. finding the chain(s) of fragments connecting them (served from a
-//      thread-safe LRU plan cache — chain enumeration is pure
-//      fragmentation-graph work, so hot fragment pairs are enumerated once),
-//   3. running one independent subquery per fragment on the chain(s), in
-//      parallel, with the disconnection sets as keyhole selections,
-//   4. assembling the per-fragment answers: the min-plus fold of the
-//      paper's small binary joins, one frontier sweep per chain.
+//   2. planning at most two keyhole hops — from an interior `from` to its
+//      fragment's border nodes, and from an interior `to`'s fragment's
+//      border nodes to `to` — plus the stored border rows of the
+//      fragments a path between them may cross (one hop, and no rows,
+//      when both constants are interior to one fragment),
+//   3. running those subqueries in parallel, each inside its fragment
+//      augmented by its shortcut relation, and reading the rows,
+//   4. assembling the answer with one search over the border overlay:
+//      the border nodes joined by the rows, which hold global
+//      border-to-border distances, so the search covers every chain of
+//      fragments at once (see dsa/executor.h).
 //
 // A single query is a batch of one: ShortestPath and ShortestRoute run
 // through BatchExecutor (dsa/batch.h), the same planner and pipeline that
-// answers *many* queries at once, sharing subqueries across queries as
-// well as across chains.
+// answers *many* queries at once, sharing subqueries across queries.
 #pragma once
 
 #include <memory>
 #include <optional>
 
-#include "dsa/chains.h"
 #include "dsa/executor.h"
 
 namespace tcf {
@@ -29,8 +31,8 @@ struct DsaOptions {
   LocalEngine engine = LocalEngine::kDijkstra;
   /// Threads for phase 1; 0 = one per fragment.
   size_t num_threads = 0;
-  /// Cap on enumerated chains when the fragmentation graph has cycles.
-  size_t max_chains = kDefaultMaxChains;
+  /// Kept only for perfbench: read nowhere.
+  size_t max_chains = 64;
   /// Ablation switch: evaluate without the complementary information
   /// (answers may then be over-estimates; see EXPERIMENTS.md).
   bool use_complementary = true;
@@ -38,12 +40,10 @@ struct DsaOptions {
 
 /// State a maintenance epoch hands from the outgoing DsaDatabase to its
 /// successor, so the successor does not pay full pre-processing again:
-/// refreshed complementary info, an epoch-filtered plan cache, and the
-/// shared phase-1 worker pool (threads survive epochs; only the data
-/// around them is republished).
+/// refreshed complementary info and the shared phase-1 worker pool
+/// (threads survive epochs; only the data around them is republished).
 struct EpochCarryover {
   ComplementaryInfo complementary;
-  std::unique_ptr<ChainPlanCache> plan_cache;
   std::shared_ptr<ThreadPool> pool;
   uint64_t epoch = 0;
 };
@@ -53,8 +53,8 @@ struct EpochCarryover {
 /// Thread-safety contract: after construction, all query methods are
 /// re-entrant and safe to call concurrently from any number of threads.
 /// Every query runs its phase-1 subqueries on the one pool owned by the
-/// database (sized by DsaOptions::num_threads), and the chain-plan cache is
-/// internally synchronized. The fragmentation must stay immutable while
+/// database (sized by DsaOptions::num_threads). The fragmentation must
+/// stay immutable while
 /// queries run (it always is — Fragmentation is immutable by construction).
 /// A DsaDatabase never mutates after construction; updates are modeled by
 /// building a successor database (see dsa/maintenance.h).
@@ -65,9 +65,8 @@ class DsaDatabase {
 
   /// Epoch-successor constructor: adopts the carryover instead of
   /// recomputing from scratch. `carry.complementary` must already be
-  /// consistent with `frag` (RefreshComplementary or a full recompute);
-  /// `carry.plan_cache` may be null to start cold; a null `carry.pool`
-  /// builds a fresh pool.
+  /// consistent with `frag` (RefreshComplementary or a full recompute); a
+  /// null `carry.pool` builds a fresh pool.
   DsaDatabase(const Fragmentation* frag, DsaOptions options,
               EpochCarryover carry);
 
@@ -83,10 +82,10 @@ class DsaDatabase {
 
   /// Shortest path *with the realizing route* ("What is the cost of the
   /// shortest path between A and B?" needs the path itself in practice).
-  /// The per-fragment answers are assembled exactly as in ShortestPath;
-  /// the winning chain's relay nodes are then back-tracked and each leg is
-  /// re-expanded inside its fragment, with shortcut hops replaced by their
-  /// precomputed witness routes. Requires complementary information.
+  /// The overlay search runs exactly as in ShortestPath, keeping each
+  /// border node's predecessor; the hops are re-expanded inside their
+  /// fragments and each border-to-border step becomes its shortcut's
+  /// precomputed witness route. Requires complementary information.
   RouteAnswer ShortestRoute(NodeId from, NodeId to,
                             ExecutionReport* report = nullptr) const;
 
@@ -94,9 +93,8 @@ class DsaDatabase {
   bool IsConnected(NodeId from, NodeId to,
                    ExecutionReport* report = nullptr) const;
 
-  /// The shared chain-plan cache (never null). Exposed for cache-hit-rate
-  /// reporting in benches and tests.
-  const ChainPlanCache* plan_cache() const { return plan_cache_.get(); }
+  /// Kept only for perfbench: always null.
+  const ChainPlanCache* plan_cache() const { return nullptr; }
 
   /// The phase-1 pool shared by all queries against this database. The
   /// batch executor schedules its deduplicated subqueries here too, so
@@ -120,7 +118,6 @@ class DsaDatabase {
   uint64_t epoch_ = 0;
   ComplementaryInfo complementary_;
   mutable std::shared_ptr<ThreadPool> pool_;
-  mutable std::unique_ptr<ChainPlanCache> plan_cache_;
 };
 
 }  // namespace tcf

@@ -15,8 +15,6 @@ void AccumulateBatchStats(BatchStats* into, const BatchStats& stats) {
   into->num_queries += stats.num_queries;
   into->subqueries_requested += stats.subqueries_requested;
   into->subqueries_executed += stats.subqueries_executed;
-  into->plan_cache_hits += stats.plan_cache_hits;
-  into->plan_cache_misses += stats.plan_cache_misses;
   into->plan_memo_hits += stats.plan_memo_hits;
   into->plan_memo_misses += stats.plan_memo_misses;
   into->interned_plan_hits += stats.interned_plan_hits;

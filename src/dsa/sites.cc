@@ -25,7 +25,6 @@ SiteNetwork::SiteNetwork(const Fragmentation* frag, LocalEngine engine,
     sites_.emplace_back([this, f]() { SiteLoop(f); });
   }
   planner_pool_ = std::make_unique<ThreadPool>();
-  plan_cache_ = std::make_unique<ChainPlanCache>();
 }
 
 SiteNetwork::~SiteNetwork() {
@@ -71,14 +70,13 @@ std::vector<Weight> SiteNetwork::BatchShortestPathCosts(
   // Plan every query on the coordinator's planner pool through the
   // planner of the in-process batch executor (PlanBatchInParallel) — one
   // message per distinct (fragment, selection) no matter how many queries
-  // or chains need it.
+  // need it.
   for (const auto& [from, to] : queries) {
     TCF_CHECK(from < num_nodes);
     TCF_CHECK(to < num_nodes);
   }
   ParallelPlanResult planned = PlanBatchInParallel(
-      *frag_, queries, kDefaultMaxChains, plan_cache_.get(),
-      planner_pool_.get());
+      *frag_, queries, 0, nullptr, planner_pool_.get());
   const std::vector<LocalQuerySpec>& flat_specs = planned.flat.specs;
 
   // Phase 0: all subquery messages are sent before any result is awaited;
@@ -108,9 +106,9 @@ std::vector<Weight> SiteNetwork::BatchShortestPathCosts(
   }
 
   // Final joins at the coordinator, query by query over the shared
-  // results — the same assembly as the in-process executor (the site
-  // result codec keeps RunLocalQuery's canonical tuple order, which the
-  // assembly's binary searches rely on).
+  // results — the same overlay search as the in-process executor (the
+  // site result codec keeps RunLocalQuery's canonical tuple order, which
+  // the search's binary searches rely on).
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     const auto [from, to] = queries[qi];
     if (from == to) {

@@ -16,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "dsa/chains.h"
 #include "dsa/local_query.h"
 #include "net/site_transport.h"
 
@@ -45,8 +44,8 @@ struct SiteTraffic {
 /// in flight at a time — the single coordinator of the paper's deployment).
 /// Coordinator-side *planning* runs on an internal planner pool through
 /// the same planner as the in-process batch executor (one plan per
-/// distinct pair, per-fragment subquery dedup, skeleton cache), so large
-/// batches do not serialize on plan construction.
+/// distinct pair, per-fragment subquery dedup), so large batches do not
+/// serialize on plan construction.
 class SiteNetwork {
  public:
   /// Spawns one thread per fragment. `frag` must outlive the network; the
@@ -65,9 +64,10 @@ class SiteNetwork {
 
   size_t NumSites() const { return sites_.size(); }
 
-  /// Shortest-path cost via the full message protocol: plan chains, send
-  /// one subquery message per (fragment, selection), await result
-  /// messages, assemble locally. Exact (uses complementary information).
+  /// Shortest-path cost via the full message protocol: plan the keyhole
+  /// hops and border rows, send one subquery message per (fragment,
+  /// selection), await result messages, search the border overlay at the
+  /// coordinator. Exact (uses complementary information).
   Weight ShortestPathCost(NodeId from, NodeId to,
                           SiteTraffic* traffic = nullptr);
 
@@ -99,7 +99,6 @@ class SiteNetwork {
   std::mutex coordinator_mutex_;
   /// Parallel planning on the coordinator (guarded by coordinator_mutex_).
   std::unique_ptr<ThreadPool> planner_pool_;
-  std::unique_ptr<ChainPlanCache> plan_cache_;
   uint64_t next_request_id_ = 1;
 };
 

@@ -622,6 +622,15 @@ Result<Relation> DecodeShortcutBlob(const std::string& blob,
                                      std::to_string(i) +
                                      " has a non-finite or negative cost");
     }
+    // Queries binary-search the stored rows by src, so a blob out of order
+    // (or repeating a pair) would answer wrong; the writer sorts.
+    if (!tuples.empty() && std::pair(src, dst) <= std::pair(tuples.back().src,
+                                                            tuples.back().dst)) {
+      return Status::InvalidArgument(
+          context + ": tuple " + std::to_string(i) + " (" +
+          std::to_string(src) + " -> " + std::to_string(dst) +
+          ") does not follow its predecessor in (src, dst) order");
+    }
     tuples.push_back(PathTuple{src, dst, cost});
   }
   TCF_CHECK(r.exhausted());

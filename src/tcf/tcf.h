@@ -51,7 +51,6 @@
 #include "storage/page.h"         // IWYU pragma: export
 #include "storage/page_store.h"   // IWYU pragma: export
 #include "util/logging.h"      // IWYU pragma: export
-#include "util/lru_cache.h"    // IWYU pragma: export
 #include "util/rng.h"          // IWYU pragma: export
 #include "util/stats.h"        // IWYU pragma: export
 #include "util/status.h"       // IWYU pragma: export

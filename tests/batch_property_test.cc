@@ -153,8 +153,6 @@ TEST_P(BatchPropertySweep, ParallelBatchMatchesSequentialAndOracle) {
         const RouteAnswer& ref = reference->answers[i];
         EXPECT_EQ(got.answer.connected, ref.answer.connected) << "query " << i;
         EXPECT_EQ(got.answer.cost, ref.answer.cost) << "query " << i;
-        EXPECT_EQ(got.answer.chains_considered, ref.answer.chains_considered)
-            << "query " << i;
         EXPECT_EQ(got.answer.fragments_involved,
                   ref.answer.fragments_involved)
             << "query " << i;

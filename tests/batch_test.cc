@@ -141,12 +141,11 @@ TEST_P(BatchCrossCheck, BatchEqualsSequentialEqualsWarshall) {
     }
   }
 
-  // The sharing accounting must be consistent, and with 1000 queries over
-  // at most 16 fragment pairs the plan cache cannot help but get hits.
+  // The sharing accounting must be consistent, and 1000 queries over at
+  // most 16 fragment pairs cannot help but share subqueries.
   const BatchStats& s = result.stats;
   EXPECT_EQ(s.num_queries, queries.size());
   EXPECT_LE(s.subqueries_executed, s.subqueries_requested);
-  EXPECT_GT(s.plan_cache_hits, 0u);
   EXPECT_GT(s.DedupSavings(), 0.0);
 }
 
@@ -212,11 +211,10 @@ TEST(BatchExecutor, SelfQueriesAreTrivial) {
 
 // ------------------------------------------------- Plan-cache edge cases
 
-/// Fixture for the plan-cache tests: a 3×10 transportation graph under a
-/// 4-fragment linear fragmentation (several fragment pairs, so a capacity-1
-/// cache is forced to churn) plus a 200-query uniform workload.
-struct PlanCacheFixture {
-  PlanCacheFixture() {
+/// A 3×10 transportation graph under a 4-fragment linear fragmentation
+/// plus a uniform workload.
+struct BatchFixture {
+  BatchFixture() {
     Rng rng(77);
     TransportationGraphOptions gopts;
     gopts.num_clusters = 3;
@@ -250,45 +248,14 @@ void ExpectSameAnswers(const BatchResult& got, const BatchResult& want) {
   }
 }
 
-/// A database over `reference`'s fragmentation and complementary
-/// information whose chain-plan cache holds a single fragment pair, so
-/// every second pair evicts.
-std::unique_ptr<DsaDatabase> TinyCacheDatabase(const DsaDatabase& reference) {
-  EpochCarryover carry;
-  carry.complementary = reference.complementary();
-  carry.plan_cache = std::make_unique<ChainPlanCache>(1);
-  return std::make_unique<DsaDatabase>(&reference.fragmentation(),
-                                       reference.options(), std::move(carry));
-}
-
-TEST(BatchPlanCache, CapacityOneChurnsButStaysCorrect) {
-  PlanCacheFixture fx;
-  const std::vector<Query> queries = fx.MakeQueries(200);
-
-  DsaDatabase reference_db(&*fx.frag);
-  const BatchResult want = BatchExecutor(&reference_db).Execute(queries);
-
-  const std::unique_ptr<DsaDatabase> db = TinyCacheDatabase(reference_db);
-  const BatchResult got = BatchExecutor(db.get()).Execute(queries);
-
-  ExpectSameAnswers(got, want);
-  const LruCacheStats stats = db->plan_cache()->Stats();
-  EXPECT_GT(stats.evictions, 0u);
-  EXPECT_LE(stats.entries, 1u);
-  // Per-batch accounting must agree with the cache's cumulative counters.
-  EXPECT_EQ(got.stats.plan_cache_hits + got.stats.plan_cache_misses,
-            stats.hits + stats.misses);
-}
-
-TEST(BatchPlanCache, ConcurrentBatchesRacingOnTinyCache) {
-  PlanCacheFixture fx;
+TEST(BatchExecutor, ConcurrentBatchesAnswerAlike) {
+  // Batches racing on one database and its pool answer and deduplicate
+  // exactly like one batch run alone.
+  BatchFixture fx;
   const std::vector<Query> queries = fx.MakeQueries(100);
-
-  DsaDatabase reference_db(&*fx.frag);
-  const BatchResult want = BatchExecutor(&reference_db).Execute(queries);
-
-  const std::unique_ptr<DsaDatabase> db = TinyCacheDatabase(reference_db);
-  BatchExecutor executor(db.get());
+  DsaDatabase db(&*fx.frag);
+  BatchExecutor executor(&db);
+  const BatchResult want = executor.Execute(queries);
 
   constexpr size_t kThreads = 4;
   constexpr size_t kRounds = 6;
@@ -310,36 +277,22 @@ TEST(BatchPlanCache, ConcurrentBatchesRacingOnTinyCache) {
   }
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0u);
-
-  // Hit/miss accounting stays consistent under the race: every batch's
-  // counters sum to the cache's cumulative lookup count, dedup counts are
-  // scheduling-independent, evictions happened, and the capacity bound
-  // holds.
-  size_t batch_lookups = 0;
   for (const BatchStats& s : stats) {
     EXPECT_EQ(s.subqueries_executed, want.stats.subqueries_executed);
     EXPECT_EQ(s.subqueries_requested, want.stats.subqueries_requested);
-    batch_lookups += s.plan_cache_hits + s.plan_cache_misses;
   }
-  const LruCacheStats cache_stats = db->plan_cache()->Stats();
-  EXPECT_EQ(cache_stats.hits + cache_stats.misses, batch_lookups);
-  EXPECT_GT(cache_stats.evictions, 0u);
-  EXPECT_LE(cache_stats.entries, 1u);
 }
 
-TEST(BatchPlanCache, RepeatedBatchFindsEverySkeletonWarm) {
-  // Plans live for one batch; what a repeated batch reuses is the
-  // skeleton cache. It must answer and dedup exactly like the first batch
-  // while expanding no skeleton again, and it plans every distinct pair
-  // afresh (interned_plan_hits stays 0 for perfbench's hit rate).
-  PlanCacheFixture fx;
+TEST(BatchExecutor, RepeatedBatchPlansAlike) {
+  // Plans live for one batch: a repeated batch plans every distinct pair
+  // afresh (interned_plan_hits stays 0 for perfbench's hit rate) and
+  // answers and deduplicates exactly like the first.
+  BatchFixture fx;
   const std::vector<Query> queries = fx.MakeQueries(200);
-
   DsaDatabase db(&*fx.frag);
   BatchExecutor executor(&db);
 
   const BatchResult first = executor.Execute(queries);
-  EXPECT_GT(first.stats.plan_cache_misses, 0u);
   const BatchResult second = executor.Execute(queries);
   ExpectSameAnswers(second, first);
   EXPECT_EQ(second.stats.subqueries_requested,
@@ -348,35 +301,8 @@ TEST(BatchPlanCache, RepeatedBatchFindsEverySkeletonWarm) {
             first.stats.subqueries_executed);
   EXPECT_EQ(second.stats.plan_memo_hits, first.stats.plan_memo_hits);
   EXPECT_EQ(second.stats.plan_memo_misses, first.stats.plan_memo_misses);
-
-  EXPECT_EQ(second.stats.plan_cache_misses, 0u);
-  EXPECT_GT(second.stats.plan_cache_hits, 0u);
   EXPECT_EQ(second.stats.interned_plan_hits, 0u);
   EXPECT_EQ(second.stats.interned_plan_misses, second.stats.plan_memo_misses);
-}
-
-TEST(BatchPlanCache, ReversedPairsOnAWarmDatabaseAnswerLikeAFreshOne) {
-  // A database warmed by the forward direction plans the reversed pairs
-  // through its own (reverse) skeletons and must answer exactly like a
-  // fresh database, chain count included.
-  PlanCacheFixture fx;
-  const std::vector<Query> forward = fx.MakeQueries(200);
-  std::vector<Query> reversed = forward;
-  for (Query& q : reversed) std::swap(q.from, q.to);
-
-  DsaDatabase db(&*fx.frag);
-  BatchExecutor executor(&db);
-  executor.Execute(forward);
-  const BatchResult warm = executor.Execute(reversed);
-
-  DsaDatabase scratch_db(&*fx.frag);
-  const BatchResult want = BatchExecutor(&scratch_db).Execute(reversed);
-  ExpectSameAnswers(warm, want);
-  for (size_t i = 0; i < warm.answers.size(); ++i) {
-    EXPECT_EQ(warm.answers[i].answer.chains_considered,
-              want.answers[i].answer.chains_considered)
-        << "query " << i;
-  }
 }
 
 TEST(BatchExecutor, DisconnectedPairsStayUnconnected) {

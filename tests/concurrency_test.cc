@@ -1,6 +1,6 @@
 // Concurrency hammer for the re-entrant execution core: many threads issue
 // single queries and whole batches against ONE DsaDatabase — shared
-// thread pool, shared chain-plan cache, shared complementary information —
+// thread pool, shared complementary information —
 // while validating every answer against sequentially precomputed expected
 // results. Run under TSan in CI (the `sanitize` matrix leg), this suite is
 // what turns the "thread-safe for concurrent queries" contract of
@@ -303,56 +303,6 @@ TEST(Concurrency, AdmissionHammerAcrossFlushWorkerCounts) {
   }
 }
 
-TEST(Concurrency, CrossBatchPlanCacheUnderConcurrentBatches) {
-  // Concurrent batches racing on a COLD skeleton cache: duplicate
-  // expansions of the same fragment pair are allowed, but every answer
-  // must be right and the accounting must stay consistent: the cache's
-  // cumulative counters equal the per-batch skeleton hits and misses
-  // summed over all batches.
-  Fixture fx(108, /*cyclic=*/true);
-  const Expected expected = Precompute(*fx.db, 80, 15);
-
-  // A fresh database for the hammer: Precompute's single queries warmed
-  // fx.db's plan cache, and this test accounts for every lookup.
-  DsaOptions dopts;
-  dopts.num_threads = 4;
-  DsaDatabase hammer_db(fx.frag.get(), dopts);
-  BatchExecutor executor(&hammer_db);
-
-  std::vector<Query> batch = expected.queries;
-  constexpr size_t kRounds = 3;
-  std::vector<BatchStats> stats(kThreads * kRounds);
-  std::atomic<size_t> mismatches{0};
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t]() {
-      for (size_t round = 0; round < kRounds; ++round) {
-        const BatchResult result = executor.Execute(batch);
-        stats[t * kRounds + round] = result.stats;
-        for (size_t i = 0; i < batch.size(); ++i) {
-          if (result.answers[i].answer.cost != expected.costs[i]) {
-            ++mismatches;
-          }
-        }
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  EXPECT_EQ(mismatches.load(), 0u);
-
-  size_t batch_hits = 0, batch_misses = 0;
-  for (const BatchStats& s : stats) {
-    batch_hits += s.plan_cache_hits;
-    batch_misses += s.plan_cache_misses;
-  }
-  const LruCacheStats cache_stats = hammer_db.plan_cache()->Stats();
-  EXPECT_EQ(cache_stats.hits, batch_hits);
-  EXPECT_EQ(cache_stats.misses, batch_misses);
-  // After the first full round every fragment pair is cached; most
-  // lookups hit.
-  EXPECT_GT(batch_hits, batch_misses);
-}
-
 TEST(Concurrency, ServiceShutdownRacesSubmitters) {
   // Shutdown while producers are still submitting: every future must
   // either carry the correct answer (admitted before the stop flag) or
@@ -392,34 +342,6 @@ TEST(Concurrency, ServiceShutdownRacesSubmitters) {
   EXPECT_EQ(mismatches.load(), 0u);
   const ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.completed, stats.submitted);  // drained, nothing dropped
-}
-
-TEST(Concurrency, PlanCacheUnderContention) {
-  // A tiny-capacity cache forces constant eviction while 8 threads look up
-  // overlapping fragment pairs; every returned chain list must equal the
-  // uncached FindChains answer.
-  Fixture fx(104, /*cyclic=*/true);
-  const Fragmentation& frag = *fx.frag;
-  ChainPlanCache cache(2);
-
-  std::atomic<size_t> mismatches{0};
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t]() {
-      const size_t n = frag.NumFragments();
-      for (size_t round = 0; round < 50; ++round) {
-        const FragmentId a = static_cast<FragmentId>((round + t) % n);
-        const FragmentId b = static_cast<FragmentId>((round * 3 + t) % n);
-        auto skeleton = cache.SkeletonFor(frag, a, b, 64);
-        if (skeleton->chains != FindChains(frag, a, b, 64)) ++mismatches;
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  EXPECT_EQ(mismatches.load(), 0u);
-  const LruCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.hits + stats.misses, kThreads * 50u);
-  EXPECT_LE(stats.entries, 2u);
 }
 
 /// The first node of fragment f that is not a border node, or

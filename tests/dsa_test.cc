@@ -1,5 +1,5 @@
 // Fast tests for the disconnection set approach substrate: complementary
-// information, chain finding, the plan cache, local queries (all engines),
+// information, chain finding, the overlay plan, local queries (all engines),
 // the executor, and a small sweep of the central invariant — DsaDatabase
 // answers equal the whole-graph Dijkstra oracle. The full fragmenter ×
 // engine sweep on larger graphs lives in dsa_heavy_test.cc.
@@ -10,6 +10,7 @@
 #include <tuple>
 
 #include "dsa/chains.h"
+#include "dsa/batch.h"
 #include "dsa/complementary.h"
 #include "dsa/local_query.h"
 #include "dsa/query_api.h"
@@ -325,54 +326,13 @@ TEST(DsaDatabase, WithoutComplementaryOverestimatesSideBranchDetours) {
 }
 
 
-// ------------------------------------------------------- ChainPlanCache
+// ------------------------------------------------------------ Overlay
 
-TEST(ChainPlanCache, CachesByFragmentPair) {
-  ChainFixture fx;
-  ChainPlanCache cache(16);
-  auto first = cache.SkeletonFor(*fx.frag, 0, 2, 64);
-  ASSERT_EQ(first->chains.size(), 1u);
-  EXPECT_EQ(first->chains.front(), (FragmentChain{0, 1, 2}));
-
-  bool was_hit = false;
-  auto second = cache.SkeletonFor(*fx.frag, 0, 2, 64, &was_hit);
-  EXPECT_TRUE(was_hit);
-  EXPECT_EQ(first.get(), second.get());  // same shared entry
-
-  const LruCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.entries, 1u);
-}
-
-TEST(ChainPlanCache, DirectionMatters) {
-  ChainFixture fx;
-  ChainPlanCache cache(16);
-  auto forward = cache.SkeletonFor(*fx.frag, 0, 2, 64);
-  bool was_hit = true;
-  auto backward = cache.SkeletonFor(*fx.frag, 2, 0, 64, &was_hit);
-  EXPECT_FALSE(was_hit);  // (2, 0) is a distinct key
-  EXPECT_EQ(forward->chains.front(), (FragmentChain{0, 1, 2}));
-  EXPECT_EQ(backward->chains.front(), (FragmentChain{2, 1, 0}));
-}
-
-TEST(ChainPlanCache, EvictsLeastRecentlyUsed) {
-  ChainFixture fx;
-  ChainPlanCache cache(2);
-  cache.SkeletonFor(*fx.frag, 0, 1, 64);
-  cache.SkeletonFor(*fx.frag, 1, 2, 64);
-  cache.SkeletonFor(*fx.frag, 0, 2, 64);  // evicts (0, 1)
-  bool was_hit = true;
-  cache.SkeletonFor(*fx.frag, 0, 1, 64, &was_hit);
-  EXPECT_FALSE(was_hit);
-  EXPECT_EQ(cache.Stats().evictions, 2u);
-}
-
-TEST(ChainPlanCache, BorderEndpointTakesEveryDistinctChainOnce) {
+TEST(OverlayPlan, BorderEndpointSearchesFromItself) {
   // A ring of four fragments: F0={0,1,2} F1={2,3,4} F2={4,5,6}
   // F3={6,7,0}. Node 2 is a border node of F0 and F1, so a query from it
-  // plans over every endpoint-fragment pair and must consider each
-  // distinct chain of their skeletons exactly once.
+  // runs no `from` hop: the overlay search starts at node 2 and goes both
+  // ways round the ring.
   GraphBuilder b(8);
   for (NodeId v = 0; v < 8; ++v) b.AddSymmetricEdge(v, (v + 1) % 8, 1.0);
   Graph g = b.Build();
@@ -382,38 +342,21 @@ TEST(ChainPlanCache, BorderEndpointTakesEveryDistinctChainOnce) {
   ASSERT_EQ(frag.FragmentsOfNode(2).size(), 2u);
 
   DsaDatabase db(&frag);
-  ChainPlanCache cache;
-  // 5 lives in F2 alone; 6 is a border node of F2 and F3.
-  for (const auto& [to, want_chains, want_cost] :
+  // 5 lives in F2 alone: one `to` hop in F2 and the rows of the other
+  // three fragments. 6 is a border node of F2 and F3: no hop at all, and
+  // every fragment's rows.
+  for (const auto& [to, want_specs, want_cost] :
        {std::tuple<NodeId, size_t, Weight>{5, 4, 3.0},
-        std::tuple<NodeId, size_t, Weight>{6, 8, 4.0}}) {
-    std::set<FragmentChain> distinct;
-    for (FragmentId fa : frag.FragmentsOfNode(2)) {
-      for (FragmentId fb : frag.FragmentsOfNode(to)) {
-        for (const FragmentChain& chain :
-             cache.SkeletonFor(frag, fa, fb, kDefaultMaxChains)->chains) {
-          distinct.insert(chain);
-        }
-      }
-    }
-    EXPECT_EQ(distinct.size(), want_chains) << "2->" << to;
-    const QueryAnswer answer = db.ShortestPath(2, to);
-    EXPECT_EQ(answer.chains_considered, distinct.size()) << "2->" << to;
+        std::tuple<NodeId, size_t, Weight>{6, 4, 4.0}}) {
+    const BatchResult result =
+        BatchExecutor(&db).Execute({Query{2, to, QueryKind::kCost}});
+    EXPECT_EQ(result.stats.subqueries_executed, want_specs) << "2->" << to;
+    const QueryAnswer& answer = result.answers.front().answer;
+    EXPECT_EQ(answer.fragments_involved,
+              (std::vector<FragmentId>{0, 1, 2, 3}))
+        << "2->" << to;
     EXPECT_DOUBLE_EQ(answer.cost, want_cost) << "2->" << to;
   }
-}
-
-TEST(ChainPlanCache, DsaDatabaseWiresCacheIntoQueries) {
-  ChainFixture fx;
-  DsaDatabase db(fx.frag.get());
-  ASSERT_NE(db.plan_cache(), nullptr);
-  db.ShortestPath(0, 6);
-  const LruCacheStats cold = db.plan_cache()->Stats();
-  EXPECT_GT(cold.misses, 0u);
-  db.ShortestPath(1, 5);  // same fragment pair -> served from cache
-  const LruCacheStats warm = db.plan_cache()->Stats();
-  EXPECT_GT(warm.hits, cold.hits);
-  EXPECT_EQ(warm.misses, cold.misses);
 }
 
 // ---- Central property: DSA == oracle. Small fast sweep here; the full

@@ -2,7 +2,7 @@
 // the Dijkstra engine's fragment-grouped tasks against one spec at a
 // time, their shared stream and searches, and a corrupt fragment's
 // reach), the planner's thread-count independence, AssembleChain, the
-// chain assemblers against AssembleChain's fold, and the ExecutionReport
+// overlay search against a whole-graph oracle, and the ExecutionReport
 // accounting.
 #include <gtest/gtest.h>
 
@@ -447,7 +447,7 @@ TEST(PlanBatchInParallel, PlansTheSameSpecsAtEveryThreadCount) {
   for (WorkloadMix mix : {WorkloadMix::kUniform, WorkloadMix::kHotPair}) {
     WorkloadSpec spec;
     spec.mix = mix;
-    spec.num_queries = 128;
+    spec.num_queries = mix == WorkloadMix::kUniform ? 384 : 128;
     for (const Query& q : GenerateWorkload(frag, spec, &workload_rng)) {
       endpoints.emplace_back(q.from, q.to);
     }
@@ -457,9 +457,7 @@ TEST(PlanBatchInParallel, PlansTheSameSpecsAtEveryThreadCount) {
   }
 
   auto plan = [&](ThreadPool* pool) {
-    ChainPlanCache cache;
-    return PlanBatchInParallel(frag, endpoints, kDefaultMaxChains, &cache,
-                               pool);
+    return PlanBatchInParallel(frag, endpoints, 0, nullptr, pool);
   };
   const ParallelPlanResult reference = plan(nullptr);
   const std::vector<LocalQuerySpec>& specs = reference.flat.specs;
@@ -472,11 +470,9 @@ TEST(PlanBatchInParallel, PlansTheSameSpecsAtEveryThreadCount) {
   size_t trivial = 0;
   for (const QueryPlan* p : reference.plans) trivial += p == nullptr;
   EXPECT_GT(trivial, 0u);
-  // Enough chains that the planner fans out to the pool (a batch of fewer
-  // than 512 is planned on the calling thread).
-  size_t chains = 0;
-  for (const QueryPlan& p : reference.distinct) chains += p.chains.size();
-  EXPECT_GE(chains, 512u);
+  // Enough distinct pairs that the planner fans out to the pool (a batch
+  // of fewer than 256 is planned on the calling thread).
+  EXPECT_GE(reference.distinct.size(), 256u);
 
   for (size_t threads : {1, 2, 8}) {
     SCOPED_TRACE(::testing::Message() << threads << " threads");
@@ -492,9 +488,10 @@ TEST(PlanBatchInParallel, PlansTheSameSpecsAtEveryThreadCount) {
     for (size_t i = 0; i < endpoints.size(); ++i) {
       ASSERT_EQ(got.plans[i] == nullptr, reference.plans[i] == nullptr) << i;
       if (got.plans[i] == nullptr) continue;
-      EXPECT_EQ(got.plans[i]->chains, reference.plans[i]->chains) << i;
-      EXPECT_EQ(got.plans[i]->chain_specs, reference.plans[i]->chain_specs)
-          << i;
+      EXPECT_EQ(got.plans[i]->kind, reference.plans[i]->kind) << i;
+      EXPECT_EQ(got.plans[i]->from_hop, reference.plans[i]->from_hop) << i;
+      EXPECT_EQ(got.plans[i]->to_hop, reference.plans[i]->to_hop) << i;
+      EXPECT_EQ(got.plans[i]->rows, reference.plans[i]->rows) << i;
     }
     EXPECT_EQ(got.memo_hits, reference.memo_hits);
   }
@@ -529,11 +526,12 @@ TEST(AssembleChain, EmptyHopYieldsEmpty) {
   EXPECT_TRUE(out.empty());
 }
 
-TEST(AssembleCostAnswer, SweepMatchesTheChainFoldBitForBit) {
+TEST(AssembleCostAnswer, OverlaySearchMatchesTheOracleOnEveryPair) {
   // Every ordered node pair of a cyclic fragmentation of a directed graph
-  // (so some hops find nothing): the frontier sweep against the
-  // AssembleChain fold of the same chains, bit for bit, with the same
-  // join-tuple count; the route assembler shares the sweep.
+  // (so some pairs are not connected): the overlay search against a
+  // whole-graph Dijkstra, and the route assembler's search against the
+  // cost assembler's, bit for bit, with a route that walks the graph at
+  // that cost.
   TransportationGraphOptions opts;
   opts.num_clusters = 4;
   opts.nodes_per_cluster = 12;
@@ -552,44 +550,32 @@ TEST(AssembleCostAnswer, SweepMatchesTheChainFoldBitForBit) {
       if (from != to) endpoints.emplace_back(from, to);
     }
   }
-  ChainPlanCache cache;
-  const ParallelPlanResult planned = PlanBatchInParallel(
-      frag, endpoints, kDefaultMaxChains, &cache, nullptr);
+  const ParallelPlanResult planned =
+      PlanBatchInParallel(frag, endpoints, 0, nullptr, nullptr);
   const std::vector<LocalQuerySpec>& specs = planned.flat.specs;
   const std::vector<LocalQueryResult> results = RunSites(
       frag, &comp, specs, LocalEngine::kDijkstra, nullptr, nullptr);
 
-  size_t multi_chain_pairs = 0;
-  size_t single_hop_chains = 0;
-  size_t empty_hop_chains = 0;
+  size_t from_hops = 0;
+  size_t border_starts = 0;
   size_t connected = 0;
+  std::vector<ShortestPaths> oracle;
+  for (NodeId v = 0; v < g.NumNodes(); ++v) oracle.push_back(Dijkstra(g, v));
   for (size_t q = 0; q < endpoints.size(); ++q) {
     const auto [from, to] = endpoints[q];
     const QueryPlan& plan = *planned.plans[q];
-    Weight fold_cost = kInfinity;
-    ExecutionReport fold_report;
-    for (const std::vector<size_t>& hops : plan.chain_specs) {
-      std::vector<const Relation*> chain;
-      for (size_t idx : hops) chain.push_back(&results[idx].paths);
-      const Relation folded = AssembleChain(chain, &fold_report);
-      fold_cost = std::min(fold_cost, folded.BestCost(from, to));
-      single_hop_chains += hops.size() == 1;
-      empty_hop_chains += std::any_of(
-          chain.begin(), chain.end(),
-          [](const Relation* r) { return r->empty(); });
+    if (plan.kind == QueryPlan::Kind::kOverlay) {
+      (plan.from_hop != QueryPlan::kNoSpec ? from_hops : border_starts) += 1;
     }
-    multi_chain_pairs += plan.chains.size() > 1;
-
     ExecutionReport report;
     const QueryAnswer got =
         AssembleCostAnswer(frag, plan, specs, from, to, results, &report);
     ASSERT_TRUE(got.status.ok()) << got.status.ToString();
-    EXPECT_EQ(std::bit_cast<uint64_t>(got.cost),
-              std::bit_cast<uint64_t>(fold_cost))
-        << from << "->" << to << ": " << got.cost << " vs " << fold_cost;
-    EXPECT_EQ(report.assembly_join_tuples, fold_report.assembly_join_tuples)
-        << from << "->" << to;
-    EXPECT_EQ(got.connected, fold_cost != kInfinity);
+    const Weight want = oracle[from].distance[to];
+    EXPECT_EQ(got.connected, want != kInfinity) << from << "->" << to;
+    if (want != kInfinity) {
+      EXPECT_NEAR(got.cost, want, 1e-9) << from << "->" << to;
+    }
     connected += got.connected;
 
     const RouteAnswer route = AssembleRouteAnswer(frag, comp, plan, specs,
@@ -599,11 +585,16 @@ TEST(AssembleCostAnswer, SweepMatchesTheChainFoldBitForBit) {
               std::bit_cast<uint64_t>(got.cost))
         << from << "->" << to;
     EXPECT_EQ(route.route.empty(), !got.connected);
+    if (got.connected) {
+      ASSERT_EQ(route.route.front(), from);
+      ASSERT_EQ(route.route.back(), to);
+      EXPECT_NEAR(dsa_sweep::RouteCost(g, route.route), want, 1e-9)
+          << from << "->" << to;
+    }
   }
   // The sweep covered what it claims to.
-  EXPECT_GT(multi_chain_pairs, endpoints.size() / 2);
-  EXPECT_GT(single_hop_chains, 0u);
-  EXPECT_GT(empty_hop_chains, 0u);
+  EXPECT_GT(from_hops, 0u);
+  EXPECT_GT(border_starts, 0u);
   EXPECT_GT(connected, 0u);
   EXPECT_LT(connected, endpoints.size());
 }

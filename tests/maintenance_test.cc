@@ -15,6 +15,7 @@
 #include "dsa/maintenance.h"
 #include "dsa_sweep.h"
 #include "fragment/center_based.h"
+#include "fragment/random_partition.h"
 #include "graph/algorithms.h"
 #include "graph/builder.h"
 #include "graph/generator.h"
@@ -237,15 +238,14 @@ TEST(MaintenanceEpoch, MultiOpEpochCountsOnce) {
 TEST(MaintenanceEpoch, DeletingAFragmentsLastEdgesRenumbers) {
   MaintainedDatabase mdb = MakeChainDb();
   // One epoch removes every fragment-1 edge; compaction drops the empty
-  // fragment, so ids renumber and every identity-keyed carry-over (plan
-  // caches, incremental complementary) is off the table.
+  // fragment, so ids renumber and the identity-keyed incremental
+  // complementary refresh is off the table.
   const EpochStats stats = mdb.ApplyEpoch(
       {EdgeUpdate::Delete(2, 3), EdgeUpdate::Delete(3, 2),
        EdgeUpdate::Delete(3, 4), EdgeUpdate::Delete(4, 3)});
   EXPECT_TRUE(stats.published);
   EXPECT_TRUE(stats.structural);
   EXPECT_TRUE(stats.renumbered);
-  EXPECT_TRUE(stats.caches_reset);
   EXPECT_EQ(stats.edges_removed, 4u);
   EXPECT_EQ(mdb.fragmentation().NumFragments(), 1u);
   // Nodes 3 and 4 lost every incident edge and with them all fragment
@@ -263,102 +263,12 @@ TEST(MaintenanceEpoch, ReweightOnlyEpochIsStructureFree) {
   EXPECT_TRUE(stats.published);
   EXPECT_FALSE(stats.structural);
   EXPECT_FALSE(stats.renumbered);
-  EXPECT_FALSE(stats.caches_reset);
   EXPECT_EQ(stats.edges_reweighted, 3u);
-  // Fragment node sets did not move, so plan-cache succession drops
-  // nothing and the structural meter stays put.
-  EXPECT_EQ(stats.skeletons_dropped, 0u);
-  EXPECT_EQ(stats.plans_dropped, 0u);
+  // Fragment node sets did not move, so the structural meter stays put.
   EXPECT_EQ(mdb.structural_rebuilds(), 0u);
   EXPECT_EQ(mdb.complementary_refreshes(), 1u);
   ExpectMatchesOracle(mdb);
   EXPECT_NEAR(mdb.db().ShortestPath(0, 2).cost, 7.0, 1e-9);
-}
-
-// An epoch invalidates exactly the cached skeletons whose chains touch a
-// dirty fragment; skeletons over untouched chains survive into the
-// successor database and keep serving as skeleton-cache hits.
-TEST(MaintenanceEpoch, CacheInvalidationIsChainPrecise) {
-  // A 4-fragment path: F0={0,1} F1={1,2,3} F2={3,4,5} F3={5,6,7}.
-  GraphBuilder b(8);
-  b.AddSymmetricEdge(0, 1, 1.0);  // F0
-  b.AddSymmetricEdge(1, 2, 1.0);  // F1
-  b.AddSymmetricEdge(2, 3, 1.0);  // F1
-  b.AddSymmetricEdge(3, 4, 1.0);  // F2
-  b.AddSymmetricEdge(4, 5, 1.0);  // F2
-  b.AddSymmetricEdge(5, 6, 1.0);  // F3
-  b.AddSymmetricEdge(6, 7, 1.0);  // F3
-  MaintainedDatabase mdb(b.Build(),
-                         {0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3}, 4);
-
-  // Warm the skeleton cache with one pair per end of the path: 0->2
-  // plans over the (F0, F1) skeleton, 4->7 over (F2, F3).
-  const std::vector<Query> queries = {{0, 2, QueryKind::kCost},
-                                      {4, 7, QueryKind::kCost}};
-  {
-    BatchExecutor executor(&mdb.db());
-    const BatchResult cold = executor.Execute(queries);
-    EXPECT_EQ(cold.stats.plan_cache_hits, 0u);
-    EXPECT_EQ(cold.stats.plan_cache_misses, 2u);
-    const BatchResult warm = executor.Execute(queries);
-    EXPECT_EQ(warm.stats.plan_cache_hits, 2u);
-    EXPECT_EQ(warm.stats.plan_cache_misses, 0u);
-  }
-
-  // Dirty ONLY F3: pull node 4 (previously F2-only) into F3 via an edge
-  // targeted there. Fragment ids survive (no fragment emptied) and the
-  // fragmentation-graph adjacency is unchanged (F2 and F3 were already
-  // neighbors), so this is the precise-invalidation regime.
-  const EpochStats stats = mdb.ApplyEpoch(
-      {EdgeUpdate::Insert(4, 7, 10.0, FragmentId{3})});
-  EXPECT_TRUE(stats.published);
-  EXPECT_TRUE(stats.structural);
-  EXPECT_FALSE(stats.renumbered);
-  EXPECT_FALSE(stats.caches_reset);
-  // (F0, F1) survives; (F2, F3) dies with F3.
-  EXPECT_EQ(stats.skeletons_kept, 1u);
-  EXPECT_EQ(stats.skeletons_dropped, 1u);
-  EXPECT_EQ(stats.plans_kept, 0u);
-  EXPECT_EQ(stats.plans_dropped, 0u);
-
-  // Differential re-run on the successor: 0->2 hits the surviving
-  // skeleton; node 4 now lives in F2 and F3, so 4->7 expands (F2, F3)
-  // and (F3, F3) afresh — and both answers stay oracle-exact.
-  BatchExecutor executor(&mdb.db());
-  const BatchResult after = executor.Execute(queries);
-  EXPECT_EQ(after.stats.plan_cache_hits, 1u);
-  EXPECT_EQ(after.stats.plan_cache_misses, 2u);
-  ExpectMatchesOracle(mdb);
-}
-
-// Epoch carry-over is bounded by fragment pairs, not by read traffic: a
-// database that has answered every node pair hands its successor at most
-// one skeleton per fragment pair, and no per-node-pair state at all.
-TEST(MaintenanceEpoch, CarryOverIsBoundedByFragmentPairs) {
-  TransportationGraphOptions gopts;
-  gopts.num_clusters = 3;
-  gopts.nodes_per_cluster = 8;
-  gopts.target_edges_per_cluster = 28;
-  Rng rng(5);
-  auto tg = GenerateTransportationGraph(gopts, &rng);
-  CenterBasedOptions copts;
-  copts.num_fragments = 3;
-  Fragmentation frag = CenterBasedFragmentation(tg.graph, copts);
-  MaintainedDatabase mdb = MaintainedDatabase::FromFragmentation(frag);
-  const Edge reweighted = tg.graph.edges().front();
-  const size_t num_fragments = mdb.fragmentation().NumFragments();
-
-  ExpectMatchesOracle(mdb);  // answers every node pair
-  const EpochStats stats = mdb.ApplyEpoch({EdgeUpdate::Reweight(
-      reweighted.src, reweighted.dst, reweighted.weight + 1.0)});
-  ASSERT_TRUE(stats.published);
-  EXPECT_FALSE(stats.caches_reset);
-  EXPECT_EQ(stats.plans_kept, 0u);
-  EXPECT_EQ(stats.plans_dropped, 0u);
-  EXPECT_GT(stats.skeletons_kept, 0u);
-  EXPECT_LE(stats.skeletons_kept + stats.skeletons_dropped,
-            num_fragments * num_fragments);
-  ExpectMatchesOracle(mdb);
 }
 
 // F0={0,1} F1={0,2,3} F2={0,5 | 4,6} F3={3,4}, every edge both ways at
@@ -429,58 +339,52 @@ TEST(MaintenanceEpoch, ReweightEpochSharesCleanSourcesRows) {
   EXPECT_NEAR(mdb.db().ShortestPath(4, 0).cost, 7.0, 1e-9);
 }
 
-// Property: a random update workload stays oracle-exact throughout.
-class MaintenanceSweep : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(MaintenanceSweep, RandomWorkloadStaysExact) {
-  TransportationGraphOptions gopts;
-  gopts.num_clusters = 3;
-  gopts.nodes_per_cluster = 10;
-  gopts.target_edges_per_cluster = 40;
-  Rng rng(GetParam());
-  auto tg = GenerateTransportationGraph(gopts, &rng);
-  CenterBasedOptions copts;
-  copts.num_fragments = 3;
-  copts.distributed_centers = true;
-  Fragmentation frag = CenterBasedFragmentation(tg.graph, copts);
-  MaintainedDatabase mdb = MaintainedDatabase::FromFragmentation(frag);
-
-  Rng workload(GetParam() * 131 + 7);
-  for (int step = 0; step < 6; ++step) {
+/// A random update workload of `steps` epochs: after every epoch the
+/// complementary info must equal a full recompute, and sampled costs and
+/// routes the oracle. With `delete_existing`, deletes take an existing
+/// edge (both directions), so epochs really shrink fragments.
+void RunRandomWorkload(MaintainedDatabase* mdb, uint64_t seed, int steps,
+                       bool delete_existing) {
+  Rng workload(seed * 131 + 7);
+  for (int step = 0; step < steps; ++step) {
     const NodeId a =
-        static_cast<NodeId>(workload.NextBounded(mdb.graph().NumNodes()));
+        static_cast<NodeId>(workload.NextBounded(mdb->graph().NumNodes()));
     const NodeId b =
-        static_cast<NodeId>(workload.NextBounded(mdb.graph().NumNodes()));
+        static_cast<NodeId>(workload.NextBounded(mdb->graph().NumNodes()));
     if (a == b) continue;
+    // An existing edge picked by (a, b) (a random node pair rarely has
+    // an edge).
+    const Edge e = mdb->graph().edge(static_cast<EdgeId>(
+        (a * mdb->graph().NumNodes() + b) % mdb->graph().NumEdges()));
     switch (workload.NextBounded(3)) {
       case 0:
-        mdb.InsertEdge(a, b, workload.NextDouble(0.1, 2.0));
+        mdb->InsertEdge(a, b, workload.NextDouble(0.1, 2.0));
         break;
       case 1:
-        mdb.DeleteEdge(a, b);
+        if (delete_existing) {
+          mdb->ApplyEpoch({EdgeUpdate::Delete(e.src, e.dst),
+                           EdgeUpdate::Delete(e.dst, e.src)});
+        } else {
+          mdb->DeleteEdge(a, b);
+        }
         break;
-      default: {
-        // An existing edge picked by (a, b), so the reweight publishes an
-        // epoch (a random node pair rarely has an edge).
-        const Edge e = mdb.graph().edge(static_cast<EdgeId>(
-            (a * mdb.graph().NumNodes() + b) % mdb.graph().NumEdges()));
-        mdb.ReweightEdge(e.src, e.dst, workload.NextDouble(0.1, 2.0));
+      default:
+        mdb->ReweightEdge(e.src, e.dst, workload.NextDouble(0.1, 2.0));
         break;
-      }
     }
     ASSERT_NO_FATAL_FAILURE(
-        ExpectComplementaryMatchesRecompute(mdb.Snapshot()));
+        ExpectComplementaryMatchesRecompute(mdb->Snapshot()));
     // Spot-check a handful of pairs against the oracle after every step,
     // costs and routes.
     for (int probe = 0; probe < 5; ++probe) {
       const NodeId s =
-          static_cast<NodeId>(workload.NextBounded(mdb.graph().NumNodes()));
+          static_cast<NodeId>(workload.NextBounded(mdb->graph().NumNodes()));
       const NodeId t =
-          static_cast<NodeId>(workload.NextBounded(mdb.graph().NumNodes()));
+          static_cast<NodeId>(workload.NextBounded(mdb->graph().NumNodes()));
       const Weight expected =
-          s == t ? 0.0 : Dijkstra(mdb.graph(), s).distance[t];
-      const QueryAnswer answer = mdb.db().ShortestPath(s, t);
-      const RouteAnswer route = mdb.db().ShortestRoute(s, t);
+          s == t ? 0.0 : Dijkstra(mdb->graph(), s).distance[t];
+      const QueryAnswer answer = mdb->db().ShortestPath(s, t);
+      const RouteAnswer route = mdb->db().ShortestRoute(s, t);
       if (expected == kInfinity) {
         EXPECT_FALSE(answer.connected);
         EXPECT_FALSE(route.answer.connected);
@@ -491,15 +395,73 @@ TEST_P(MaintenanceSweep, RandomWorkloadStaysExact) {
         ASSERT_FALSE(route.route.empty());
         EXPECT_EQ(route.route.front(), s);
         EXPECT_EQ(route.route.back(), t);
-        EXPECT_NEAR(RouteCost(mdb.graph(), route.route), expected, 1e-9)
+        EXPECT_NEAR(RouteCost(mdb->graph(), route.route), expected, 1e-9)
             << s << "->" << t;
       }
     }
   }
 }
 
+TransportationGraph SweepGraph(uint64_t seed) {
+  TransportationGraphOptions gopts;
+  gopts.num_clusters = 3;
+  gopts.nodes_per_cluster = 10;
+  gopts.target_edges_per_cluster = 40;
+  Rng rng(seed);
+  return GenerateTransportationGraph(gopts, &rng);
+}
+
+// Property: a random update workload stays oracle-exact throughout.
+class MaintenanceSweep : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(MaintenanceSweep, RandomWorkloadStaysExact) {
+  const TransportationGraph tg = SweepGraph(GetParam());
+  CenterBasedOptions copts;
+  copts.num_fragments = 3;
+  copts.distributed_centers = true;
+  Fragmentation frag = CenterBasedFragmentation(tg.graph, copts);
+  MaintainedDatabase mdb = MaintainedDatabase::FromFragmentation(frag);
+  RunRandomWorkload(&mdb, GetParam(), /*steps=*/6,
+                    /*delete_existing=*/false);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, MaintenanceSweep,
                          ::testing::Range<uint64_t>(1, 9));
+
+// The same workload on cyclic random fragmentations of 4 and 5
+// fragments, deleting existing edges. A border node here often lies in
+// three fragments or more, so an epoch can take it out of one fragment
+// while it stays a border node and clean: the refresh's filtered witness
+// row. Every route crosses the overlay through witness rows, so the
+// route checks guard them across epochs too.
+class CyclicMaintenanceSweep
+    : public ::testing::TestWithParam<std::pair<uint64_t, size_t>> {};
+
+TEST_P(CyclicMaintenanceSweep, RandomWorkloadStaysExact) {
+  const auto [seed, fragments] = GetParam();
+  const TransportationGraph tg = SweepGraph(seed);
+  Rng frag_rng(seed * 977 + 13);
+  Fragmentation frag = RandomFragmentation(tg.graph, fragments, &frag_rng);
+  ASSERT_GT(frag.FragmentationGraphCycles(), 0u);
+  size_t widest = 0;
+  for (NodeId v = 0; v < tg.graph.NumNodes(); ++v) {
+    widest = std::max(widest, frag.FragmentsOfNode(v).size());
+  }
+  ASSERT_GE(widest, 3u) << "no border node lies in three fragments";
+  MaintainedDatabase mdb = MaintainedDatabase::FromFragmentation(frag);
+  RunRandomWorkload(&mdb, seed, /*steps=*/24, /*delete_existing=*/true);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, CyclicMaintenanceSweep,
+    ::testing::Values(std::pair<uint64_t, size_t>{1, 4},
+                      std::pair<uint64_t, size_t>{2, 5},
+                      std::pair<uint64_t, size_t>{3, 4},
+                      std::pair<uint64_t, size_t>{4, 5},
+                      std::pair<uint64_t, size_t>{5, 4},
+                      std::pair<uint64_t, size_t>{6, 5},
+                      std::pair<uint64_t, size_t>{7, 4},
+                      std::pair<uint64_t, size_t>{8, 5}));
 
 }  // namespace
 }  // namespace tcf

@@ -88,6 +88,29 @@ uint64_t TotalRelationBytes(const ComplementaryInfo& comp) {
   return bytes;
 }
 
+/// Two interior nodes of the fragment with the fewest shortcut tuples
+/// among those that have two and a nonempty relation; {kInvalidNode,
+/// kInvalidNode} when none has. A query between them plans one subquery,
+/// which streams only that fragment's relation.
+std::pair<NodeId, NodeId> InteriorPairOfSmallestRelation(
+    const Fragmentation& frag, const ComplementaryInfo& comp) {
+  std::pair<NodeId, NodeId> best = {kInvalidNode, kInvalidNode};
+  size_t best_tuples = 0;
+  for (FragmentId f = 0; f < frag.NumFragments(); ++f) {
+    std::vector<NodeId> interior;
+    for (NodeId v : frag.FragmentNodes(f)) {
+      if (!frag.IsBorderNode(v)) interior.push_back(v);
+    }
+    const size_t tuples = comp.shortcuts[f].size();
+    if (interior.size() >= 2 && tuples > 0 &&
+        (best.first == kInvalidNode || tuples < best_tuples)) {
+      best = {interior[0], interior[1]};
+      best_tuples = tuples;
+    }
+  }
+  return best;
+}
+
 /// Deterministic randomized sweep: `fresh` and `reopened` must agree with
 /// each other bit for bit and with the whole-graph Dijkstra oracle.
 void ExpectAnswersMatch(const Graph& g, const DsaDatabase& fresh,
@@ -255,6 +278,16 @@ TEST_F(PagedRelationTest, CappedPoolSweepMatchesFreshAndOracle) {
 
       ExpectAnswersMatch(t.graph, fresh, *opened.value().db,
                          /*seed=*/1000 + static_cast<uint64_t>(fragmenter));
+      // A query streams each fragment it reads once, and the sweep's
+      // queries read more than the pool holds, so the sweep faults pages
+      // in. A query repeated while its one fragment's relation is still in
+      // the pool is served from it.
+      EXPECT_GT(opened.value().paged_file->stats().misses, 0u);
+      const auto [a, b] = InteriorPairOfSmallestRelation(
+          *opened.value().frag, fresh.complementary());
+      ASSERT_NE(b, kInvalidNode);
+      const Weight once = opened.value().db->ShortestPath(a, b).cost;
+      EXPECT_EQ(opened.value().db->ShortestPath(a, b).cost, once);
       EXPECT_GT(opened.value().paged_file->stats().hits, 0u);
     }
   }

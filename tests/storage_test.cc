@@ -487,6 +487,80 @@ TEST_F(HostileStorageTest, ResealedWitnessLiesAreRejected) {
   EXPECT_TRUE(OpenDatabase(path_).ok());
 }
 
+// A fragment's shortcut blob passes checksums once its pages are
+// resealed, so the decoder's order rule is what stands between an
+// out-of-order blob and the overlay search's binary searches by src.
+TEST_F(HostileStorageTest, ResealedShortcutOrderLiesAreRejected) {
+  SaveSmallDb();
+  const std::vector<uint8_t> original = ReadFileBytes();
+  constexpr size_t kPayload = kPageSize - kPageHeaderSize;
+  auto file_offset = [&](uint64_t first_page, size_t blob_offset) {
+    return (first_page + blob_offset / kPayload) * kPageSize +
+           kPageHeaderSize + blob_offset % kPayload;
+  };
+  auto read_blob = [&](uint64_t first_page, uint64_t byte_len) {
+    std::vector<uint8_t> blob(byte_len);
+    for (size_t i = 0; i < blob.size(); ++i) {
+      blob[i] = original[file_offset(first_page, i)];
+    }
+    return blob;
+  };
+  // The directory (superblock payload offset 112): u64 count, then one
+  // { u64 first_page, u64 byte_len, u64 tuple_count } per fragment.
+  const std::vector<uint8_t> directory =
+      read_blob(LoadU64(original.data() + 24 + 112),
+                LoadU64(original.data() + 24 + 120));
+  const uint64_t num_fragments = LoadU64(directory.data());
+  FragmentId f = 0;
+  while (f < num_fragments &&
+         LoadU64(directory.data() + 8 + 24 * f + 16) < 2) {
+    ++f;
+  }
+  ASSERT_LT(f, num_fragments) << "no fragment with two shortcut tuples";
+  const uint64_t first_page = LoadU64(directory.data() + 8 + 24 * f);
+  const std::vector<uint8_t> blob =
+      read_blob(first_page, LoadU64(directory.data() + 8 + 24 * f + 8));
+
+  // Tuples follow the u64 count, 16 bytes each: { u32 src, u32 dst,
+  // f64 cost }.
+  auto expect_rejected = [&](const std::vector<uint8_t>& tampered_blob,
+                             const char* what) {
+    SCOPED_TRACE(what);
+    std::vector<uint8_t> tampered = original;
+    for (size_t i = 0; i < tampered_blob.size(); ++i) {
+      tampered[file_offset(first_page, i)] = tampered_blob[i];
+    }
+    const size_t pages = (tampered_blob.size() + kPayload - 1) / kPayload;
+    for (size_t p = 0; p < pages; ++p) {
+      ResealPage(&tampered, kPageSize, first_page + p);
+    }
+    WriteFileBytes(tampered);
+    for (const OpenMode mode : {OpenMode::kResident, OpenMode::kPaged}) {
+      OpenOptions options;
+      options.mode = mode;
+      const Result<StoredDatabase> opened = OpenDatabase(path_, options);
+      ASSERT_FALSE(opened.ok()) << ModeName(mode);
+      EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument)
+          << ModeName(mode);
+      EXPECT_NE(opened.status().message().find("fragment " +
+                                               std::to_string(f)),
+                std::string::npos)
+          << ModeName(mode) << ": " << opened.status().ToString();
+    }
+  };
+  std::vector<uint8_t> t = blob;
+  std::copy_n(blob.begin() + 8, 16, t.begin() + 24);
+  std::copy_n(blob.begin() + 24, 16, t.begin() + 8);
+  expect_rejected(t, "swapped pair");
+
+  t = blob;
+  std::copy_n(blob.begin() + 8, 16, t.begin() + 24);
+  expect_rejected(t, "repeated pair");
+
+  WriteFileBytes(original);
+  EXPECT_TRUE(OpenDatabase(path_).ok());
+}
+
 TEST_F(HostileStorageTest, MissingEmptyAndGarbageFiles) {
   EXPECT_EQ(OpenDatabase(path_ + ".does-not-exist").status().code(),
             StatusCode::kNotFound);

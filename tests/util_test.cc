@@ -1,5 +1,5 @@
 // Unit tests for the util substrate: rng, stats, bit matrix, thread pool,
-// lru cache, status.
+// status.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +11,6 @@
 #include <thread>
 
 #include "util/bit_matrix.h"
-#include "util/lru_cache.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -462,95 +461,6 @@ TEST(WallTimer, MeasuresElapsedTime) {
   for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(t.ElapsedSeconds(), 0.0);
   EXPECT_GE(t.ElapsedMillis(), t.ElapsedSeconds());  // later read, bigger
-}
-
-// ----------------------------------------------------------- LruCache
-
-TEST(LruCache, GetPutAndStats) {
-  LruCache<int, int> cache(2);
-  EXPECT_EQ(cache.Get(1), nullptr);
-  cache.Put(1, std::make_shared<const int>(10));
-  auto hit = cache.Get(1);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(*hit, 10);
-  const LruCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_DOUBLE_EQ(stats.HitRate(), 0.5);
-}
-
-TEST(LruCache, EvictsLeastRecentlyUsedFirst) {
-  LruCache<int, int> cache(2);
-  cache.Put(1, std::make_shared<const int>(10));
-  cache.Put(2, std::make_shared<const int>(20));
-  ASSERT_NE(cache.Get(1), nullptr);  // refresh 1; 2 is now LRU
-  cache.Put(3, std::make_shared<const int>(30));
-  EXPECT_EQ(cache.Get(2), nullptr);
-  EXPECT_NE(cache.Get(1), nullptr);
-  EXPECT_NE(cache.Get(3), nullptr);
-  EXPECT_EQ(cache.Stats().evictions, 1u);
-}
-
-TEST(LruCache, EvictedEntrySurvivesWithHolder) {
-  LruCache<int, std::vector<int>> cache(1);
-  auto held = cache.GetOrCompute(
-      1, []() { return std::make_shared<const std::vector<int>>(3, 7); });
-  cache.Put(2, std::make_shared<const std::vector<int>>());  // evicts key 1
-  EXPECT_EQ(cache.Get(1), nullptr);
-  ASSERT_EQ(held->size(), 3u);  // the shared_ptr keeps the value alive
-  EXPECT_EQ(held->front(), 7);
-}
-
-TEST(LruCache, GetOrComputeRunsFactoryOncePerResidentKey) {
-  LruCache<int, int> cache(4);
-  int calls = 0;
-  auto factory = [&]() {
-    ++calls;
-    return std::make_shared<const int>(42);
-  };
-  bool was_hit = true;
-  EXPECT_EQ(*cache.GetOrCompute(5, factory, &was_hit), 42);
-  EXPECT_FALSE(was_hit);
-  EXPECT_EQ(*cache.GetOrCompute(5, factory, &was_hit), 42);
-  EXPECT_TRUE(was_hit);
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(LruCache, CapacityOneConstantEvictionStaysConsistent) {
-  // The degenerate cache: every new key evicts the previous one, yet every
-  // lookup must still return the right value and the counters must add up.
-  LruCache<int, int> cache(1);
-  int factory_calls = 0;
-  for (int round = 0; round < 3; ++round) {
-    for (int key = 0; key < 4; ++key) {
-      auto value = cache.GetOrCompute(key, [&]() {
-        ++factory_calls;
-        return std::make_shared<const int>(key * 10);
-      });
-      EXPECT_EQ(*value, key * 10);
-    }
-  }
-  // Each of the 12 lookups misses (the previous key always evicted it).
-  EXPECT_EQ(factory_calls, 12);
-  const LruCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 12u);
-  EXPECT_EQ(stats.evictions, 11u);
-  EXPECT_EQ(stats.entries, 1u);
-}
-
-TEST(LruCache, ConcurrentGetOrComputeIsConsistent) {
-  LruCache<int, int> cache(8);
-  ThreadPool pool(4);
-  std::atomic<int> wrong{0};
-  pool.ParallelFor(64, [&](size_t i) {
-    const int key = static_cast<int>(i % 8);
-    auto value = cache.GetOrCompute(
-        key, [&]() { return std::make_shared<const int>(key * key); });
-    if (*value != key * key) ++wrong;
-  });
-  EXPECT_EQ(wrong.load(), 0);
-  EXPECT_EQ(cache.size(), 8u);
 }
 
 }  // namespace
