@@ -296,10 +296,12 @@ void RunLocalQueryGroup(const Fragmentation& frag,
     if (sides.begin == sides.mid || sides.mid == sides.end) {
       sides.answer = Answer::kNothing;
     } else if (complementary != nullptr && all_border &&
+               spec.sources.size() == num_border &&
+               spec.targets.size() == num_border &&
                sides.mid - sides.begin == num_border &&
                sides.end - sides.mid == num_border) {
-      // Both sides are all of B(f): the stored relation itself, read as it
-      // streams — no overlay walk, no self-tuples, no aggregation.
+      // Both sides are exactly B(f): the stored relation itself, read as
+      // it streams — no overlay walk, no self-tuples, no aggregation.
       sides.answer = Answer::kRows;
       any_rows = true;
     } else if (complementary != nullptr && all_border) {

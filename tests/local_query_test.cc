@@ -277,9 +277,10 @@ TEST_F(LocalKernelTest, MatchesWholeGraphDijkstraOnAugmentedFragment) {
   EXPECT_GT(counts.unreachable_pairs, 0u);
 }
 
-/// The border-to-border specs chains produce in each fragment: every
-/// ordered pair of its disconnection sets (the same one twice included),
-/// and all its border nodes to all of them.
+/// Border-to-border specs in each fragment: every ordered pair of its
+/// disconnection sets (the same one twice included), all its border nodes
+/// (the overlay's rows) and all of them plus a node outside the fragment,
+/// to all of them.
 std::vector<LocalQuerySpec> BorderPairSpecs(const Fragmentation& frag) {
   std::vector<LocalQuerySpec> specs;
   for (FragmentId f = 0; f < frag.NumFragments(); ++f) {
@@ -290,6 +291,14 @@ std::vector<LocalQuerySpec> BorderPairSpecs(const Fragmentation& frag) {
     }
     const std::vector<NodeId>& border = frag.BorderNodes(f);
     sides.emplace_back(border.begin(), border.end());
+    for (NodeId v = 0; v < frag.graph().NumNodes(); ++v) {
+      const std::vector<FragmentId>& of = frag.FragmentsOfNode(v);
+      if (std::find(of.begin(), of.end(), f) == of.end()) {
+        sides.push_back(sides.back());
+        sides.back().insert(v);
+        break;
+      }
+    }
     for (const NodeSet& in : sides) {
       for (const NodeSet& out : sides) {
         specs.push_back(LocalQuerySpec{f, in, out});
